@@ -302,19 +302,27 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   server.start();
   const std::uint16_t port = server.port();
 
-  // Measure the sustainable rate from a warm serial request (force=true so
-  // every load request below reruns instead of hitting this cache row).
+  // Measure the sustainable rate from warm serial requests (force=true so
+  // each probe reruns instead of hitting this cache row). The fastest of
+  // three sets the rate: a probe slowed by other work on the host would
+  // understate capacity and leave the "2x" load below it.
   SimBody probe;
   probe.seed = 500;
   probe.ranks = 4;
   probe.particles = 2000;
   probe.steps = 2;
   (void)roundtrip(port, post_simulate(probe.str()));  // warm-up
-  hostperf::WallTimer probe_timer;
   probe.force = true;
-  const Reply pr = roundtrip(port, post_simulate(probe.str()));
-  const double latency = probe_timer.seconds();
-  check(pr.status == 200, "load2x: probe request answered 200");
+  bool probes_ok = true;
+  double latency = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    hostperf::WallTimer probe_timer;
+    const Reply pr = roundtrip(port, post_simulate(probe.str()));
+    const double t = probe_timer.seconds();
+    probes_ok = probes_ok && pr.status == 200;
+    latency = i == 0 ? t : std::min(latency, t);
+  }
+  check(probes_ok, "load2x: probe request answered 200");
   const double sustainable = static_cast<double>(so.workers) / latency;
 
   LoadOptions lo;
@@ -328,9 +336,11 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   lo.p_drop = 0.05;
   lo.stall_seconds = 0.6;
   lo.client_timeout_seconds = 60.0;
+  // A distinct config per request: a repeated one would be answered from
+  // the result cache and the 2x load would never reach the worker pool.
   lo.body = [](std::uint64_t i) {
     SimBody b;
-    b.seed = i % 16 + 1;
+    b.seed = i + 1;
     b.ranks = 4;
     b.particles = 2000;
     b.steps = 2;
@@ -339,6 +349,8 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   std::printf("load2x: sustainable ~%.0f rps (probe %.1f ms), driving %.0f "
               "rps for %.1f s with chaos\n",
               sustainable, latency * 1e3, lo.rps, lo.duration_seconds);
+  const std::uint64_t hits_before =
+      counter(fetch_stats(port), "cache_hits");
   const LoadReport rep = run_load(lo);
 
   check(rep.completed == rep.ok + rep.shed + rep.timeouts + rep.errors_4xx +
@@ -349,6 +361,8 @@ void bench_load2x(hostperf::BenchReport& report, bool quick) {
   check(rep.ok > 0, "load2x: some requests still answered 200");
   check(rep.shed + rep.degraded + rep.timeouts > 0,
         "load2x: overload visibly shed or degraded");
+  check(counter(fetch_stats(port), "cache_hits") == hits_before,
+        "load2x: no load request answered from the result cache");
   check(roundtrip(port, get_request("/healthz")).status == 200,
         "load2x: server healthy after the run");
   check(poll_until(

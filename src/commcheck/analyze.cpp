@@ -280,7 +280,9 @@ void check_wildcard_races(const Trace& trace, Verdict& v) {
           // matched it; anything concurrent with the matched send could.
           if (happens_before(recv.clock, cand.clock)) continue;
           if (!concurrent(cand.clock, matched.clock)) continue;
-          char buf[192];
+          // Sized for the literal plus four ints and two %.6g doubles at
+          // their widest, so the message is never truncated.
+          char buf[320];
           std::snprintf(
               buf, sizeof buf,
               "rank %d recv(src=any, tag=%d) at t=%.6g matched rank %d's "

@@ -545,9 +545,9 @@ void Cluster::op_compute(int r, double seconds) {
   leave_op(r, lk);
 }
 
-void Cluster::deliver(int src, int dst, int tag,
-                      std::vector<std::byte> payload, double send_time,
-                      double available_at, std::size_t send_event) {
+void Cluster::deliver(int src, int dst, int tag, Payload payload,
+                      double send_time, double available_at,
+                      std::size_t send_event) {
   if (record_trace_) {
     trace_.push_back(
         {send_time, available_at, src, dst, tag, payload.size()});
@@ -571,12 +571,12 @@ void Cluster::deliver(int src, int dst, int tag,
   }
 }
 
-void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
+void Cluster::ft_send(int r, int dst, int tag, Payload payload,
                       double depart, std::size_t send_event) {
   using Action = fault::ExecutedFault::Action;
   const fault::TransportPolicy& pol = injector_.policy();
   const std::uint64_t id = impl_->next_msg_id++;
-  const std::uint32_t crc = fault::crc32_of(payload);
+  const std::uint32_t crc = fault::crc32_of(payload.bytes());
   const double dst_crash = injector_.crash_time(dst);
   const std::size_t wire_bytes = payload.size() + pol.frame_bytes;
 
@@ -604,7 +604,10 @@ void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
       continue;
     }
     if (fate.corrupted) {
-      std::vector<std::byte> damaged = payload;
+      // Damage a private copy: the payload's bytes may be shared with other
+      // holders (a collective forwarding the block it received).
+      const std::span<const std::byte> intact = payload.bytes();
+      std::vector<std::byte> damaged(intact.begin(), intact.end());
       injector_.corrupt_payload(damaged, id, attempt);
       ++fault_stats_.corruptions;
       if (fault::crc32_of(damaged) != crc) {
@@ -617,7 +620,8 @@ void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
         continue;
       }
       // CRC collision (astronomically unlikely): delivered damaged.
-      deliver(r, dst, tag, std::move(damaged), depart, available, send_event);
+      deliver(r, dst, tag, Payload::copy_of(damaged), depart, available,
+              send_event);
       return;
     }
     deliver(r, dst, tag, std::move(payload), depart, available, send_event);
@@ -627,8 +631,7 @@ void Cluster::ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
   fault_trace_.push_back({t, Action::kLost, r, dst, pol.max_attempts});
 }
 
-void Cluster::op_send(int r, int dst, int tag,
-                      std::vector<std::byte> payload) {
+void Cluster::op_send(int r, int dst, int tag, Payload payload) {
   BLADED_REQUIRE_MSG(dst >= 0 && dst < ranks(),
                      "Comm::send destination rank " + std::to_string(dst) +
                          " out of range [0," + std::to_string(ranks()) + ")");
@@ -672,7 +675,7 @@ void Cluster::op_send(int r, int dst, int tag,
   leave_op(r, lk);
 }
 
-std::optional<std::vector<std::byte>> Cluster::op_recv(
+std::optional<Payload> Cluster::op_recv(
     int r, int src, int tag, double timeout, bool timeout_throws,
     std::uint64_t elem_bytes, std::uint64_t elems) {
   BLADED_REQUIRE_MSG(
@@ -739,7 +742,7 @@ std::optional<std::vector<std::byte>> Cluster::op_recv(
       }
       me.set_now(me.now() + o);
       me.stats.comm_seconds += o;
-      std::vector<std::byte> payload = std::move(it->payload);
+      Payload payload = std::move(it->payload);
       if (recorder_) {
         recorder_->on_recv_match(r, recv_event, it->src, it->send_event,
                                  payload.size(), me.now());

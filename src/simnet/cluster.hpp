@@ -12,7 +12,9 @@
 /// and identical to the historical one-rank-at-a-time engine. Computation
 /// advances a rank's clock explicitly (Comm::compute); messages carry real
 /// payloads between ranks while their delivery times come from the
-/// star-switch LinkTimeline model.
+/// star-switch LinkTimeline model. Payloads are immutable and shared
+/// (simnet::Payload): the engine moves them from sender to mailbox to
+/// receiver without copying bytes.
 ///
 /// This is the substitute for the paper's physical 24-node Fast Ethernet
 /// cluster: the communication pattern, payload bytes and overlap structure
@@ -40,6 +42,7 @@
 #include "fault/injector.hpp"
 #include "mc/shim.hpp"
 #include "simnet/network.hpp"
+#include "simnet/payload.hpp"
 
 namespace bladed::commcheck {
 class Recorder;
@@ -51,7 +54,7 @@ namespace bladed::simnet {
 class Comm;
 struct ClusterImpl;  // engine internals (cluster.cpp)
 
-/// Wildcard source for Comm::recv_bytes.
+/// Wildcard source for Comm::recv_bytes / recv_payload.
 inline constexpr int kAnySource = -1;
 
 /// One point-to-point message, as observed by the (optional) trace.
@@ -156,7 +159,7 @@ class Cluster {
   struct Message {
     int src = 0;
     int tag = 0;
-    std::vector<std::byte> payload;
+    Payload payload;
     double available_at = 0.0;
     /// Index of the sender's commcheck send event (clock join on match).
     std::size_t send_event = static_cast<std::size_t>(-1);
@@ -180,12 +183,12 @@ class Cluster {
   // Operations invoked by Comm on the owning rank's thread; all take the
   // engine lock internally.
   void op_compute(int r, double seconds);
-  void op_send(int r, int dst, int tag, std::vector<std::byte> payload);
+  void op_send(int r, int dst, int tag, Payload payload);
   /// Blocking receive. `timeout` < 0 uses the transport policy's default;
   /// 0 waits forever. On expiry: throws RecvTimeoutError when
   /// `timeout_throws`, else returns nullopt. `elem_bytes`/`elems` describe
   /// the caller's typed expectation for the commcheck recorder (0 = none).
-  std::optional<std::vector<std::byte>> op_recv(
+  std::optional<Payload> op_recv(
       int r, int src, int tag, double timeout = -1.0,
       bool timeout_throws = true, std::uint64_t elem_bytes = 0,
       std::uint64_t elems = 0);
@@ -228,10 +231,10 @@ class Cluster {
   // Fault machinery (engine lock held).
   void apply_hang_and_crash(int r);
   [[noreturn]] void die(int r, double at);
-  void ft_send(int r, int dst, int tag, std::vector<std::byte> payload,
-               double depart, std::size_t send_event);
-  void deliver(int r, int dst, int tag, std::vector<std::byte> payload,
-               double send_time, double available_at, std::size_t send_event);
+  void ft_send(int r, int dst, int tag, Payload payload, double depart,
+               std::size_t send_event);
+  void deliver(int r, int dst, int tag, Payload payload, double send_time,
+               double available_at, std::size_t send_event);
 
   std::unique_ptr<ClusterImpl> impl_;
   LinkTimeline links_;

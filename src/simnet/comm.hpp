@@ -11,6 +11,7 @@
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "commcheck/event.hpp"
 #include "common/error.hpp"
 #include "simnet/cluster.hpp"
+#include "simnet/payload.hpp"
 
 namespace bladed::simnet {
 
@@ -34,89 +36,84 @@ class Comm {
   void compute(double seconds) { cluster_.op_compute(rank_, seconds); }
 
   // --- point-to-point -----------------------------------------------------
+  // Every send hands the engine an immutable Payload; the typed wrappers
+  // make exactly one copy on each side (into the payload, out of it) and
+  // never zero-fill. recv_payload / recv_bytes return the payload itself,
+  // shared with the sender and any rank it was forwarded to: read it in
+  // place with view<T>() while the Payload is alive, never write through it.
 
-  void send_bytes(int dst, int tag, std::vector<std::byte> payload) {
+  /// Send a shared payload; no bytes are copied.
+  void send(int dst, int tag, Payload payload) {
     cluster_.op_send(rank_, dst, tag, std::move(payload));
+  }
+  void send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
+    send(dst, tag, Payload::copy_of(bytes));
   }
   /// Blocking receive; src may be kAnySource. With fault injection enabled
   /// this can throw RecvTimeoutError (transport-policy receive timeout) or
   /// PeerFailureError (the failure detector declared the peer dead).
-  std::vector<std::byte> recv_bytes(int src, int tag) {
-    return recv_bytes_typed(src, tag, 0, 0);
-  }
+  Payload recv_bytes(int src, int tag) { return recv_checked(src, tag, 0, 0); }
 
   /// Receive with an explicit timeout (virtual seconds); returns nullopt on
   /// expiry instead of throwing. `timeout` <= 0 waits forever.
-  std::optional<std::vector<std::byte>> recv_bytes_for(int src, int tag,
-                                                       double timeout) {
+  std::optional<Payload> recv_bytes_for(int src, int tag, double timeout) {
     return cluster_.op_recv(rank_, src, tag, timeout > 0.0 ? timeout : 0.0,
                             /*timeout_throws=*/false);
+  }
+
+  /// Blocking receive of a payload of T elements, without copying it. The
+  /// element size is checked here and recorded for commcheck exactly as
+  /// recv<T> does.
+  template <class T>
+    requires std::is_trivially_copyable_v<T>
+  Payload recv_payload(int src, int tag) {
+    Payload p = recv_checked(src, tag, sizeof(T), 0);
+    check_multiple<T>("recv", p, src, tag);
+    return p;
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void send(int dst, int tag, const std::vector<T>& v) {
-    std::vector<std::byte> bytes(v.size() * sizeof(T));
-    std::memcpy(bytes.data(), v.data(), bytes.size());
-    send_bytes(dst, tag, std::move(bytes));
+    send(dst, tag, Payload::copy_of(std::span<const T>(v)));
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> recv(int src, int tag) {
-    std::vector<std::byte> bytes = recv_bytes_typed(src, tag, sizeof(T), 0);
-    BLADED_REQUIRE_MSG(
-        bytes.size() % sizeof(T) == 0,
-        "Comm::recv payload size mismatch: src=" + src_name(src) +
-            " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
-            ": " + std::to_string(bytes.size()) +
-            " bytes is not a multiple of element size " +
-            std::to_string(sizeof(T)));
-    std::vector<T> v(bytes.size() / sizeof(T));
-    std::memcpy(v.data(), bytes.data(), bytes.size());
-    return v;
+    return to_vector<T>(recv_payload<T>(src, tag));
   }
 
   /// Timed typed receive; nullopt on expiry. `timeout` <= 0 waits forever.
   template <class T>
     requires std::is_trivially_copyable_v<T>
   std::optional<std::vector<T>> recv_for(int src, int tag, double timeout) {
-    std::optional<std::vector<std::byte>> bytes =
+    std::optional<Payload> p =
         cluster_.op_recv(rank_, src, tag, timeout > 0.0 ? timeout : 0.0,
                          /*timeout_throws=*/false, sizeof(T), 0);
-    if (!bytes) return std::nullopt;
-    BLADED_REQUIRE_MSG(
-        bytes->size() % sizeof(T) == 0,
-        "Comm::recv_for payload size mismatch: src=" + src_name(src) +
-            " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
-            ": " + std::to_string(bytes->size()) +
-            " bytes is not a multiple of element size " +
-            std::to_string(sizeof(T)));
-    std::vector<T> v(bytes->size() / sizeof(T));
-    std::memcpy(v.data(), bytes->data(), bytes->size());
-    return v;
+    if (!p) return std::nullopt;
+    check_multiple<T>("recv_for", *p, src, tag);
+    return to_vector<T>(*p);
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void send_value(int dst, int tag, const T& value) {
-    std::vector<std::byte> bytes(sizeof(T));
-    std::memcpy(bytes.data(), &value, sizeof(T));
-    send_bytes(dst, tag, std::move(bytes));
+    send(dst, tag, Payload::copy_of(std::span<const T>(&value, 1)));
   }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   T recv_value(int src, int tag) {
-    std::vector<std::byte> bytes = recv_bytes_typed(src, tag, sizeof(T), 1);
+    const Payload p = recv_checked(src, tag, sizeof(T), 1);
     BLADED_REQUIRE_MSG(
-        bytes.size() == sizeof(T),
+        p.size() == sizeof(T),
         "Comm::recv_value payload size mismatch: src=" + src_name(src) +
             " dst=" + std::to_string(rank_) + " tag=" + std::to_string(tag) +
-            ": got " + std::to_string(bytes.size()) + " bytes, expected " +
+            ": got " + std::to_string(p.size()) + " bytes, expected " +
             std::to_string(sizeof(T)));
     T value;
-    std::memcpy(&value, bytes.data(), sizeof(T));
+    std::memcpy(&value, p.bytes().data(), sizeof(T));
     return value;
   }
 
@@ -130,8 +127,10 @@ class Comm {
 
   void barrier() { cluster_.op_barrier(rank_); }
 
-  /// Binomial-tree broadcast of a vector from `root`.
+  /// Binomial-tree broadcast of a vector from `root`. Each rank forwards the
+  /// payload it received to its children without copying it.
   template <class T>
+    requires std::is_trivially_copyable_v<T>
   std::vector<T> bcast(std::vector<T> v, int root) {
     const CollectiveScope scope(*this, commcheck::CollectiveKind::kBcast,
                                 root, v.size());
@@ -142,22 +141,22 @@ class Comm {
     const int rel = (rank() - root + n) % n;
     int rounds = 0;
     while ((1 << rounds) < n) ++rounds;
+    Payload p;
+    int first_round = 0;
     if (rel != 0) {
       int hb = 0;
       while ((1 << (hb + 1)) <= rel) ++hb;
-      const int parent = (rel - (1 << hb) + root) % n;
-      v = recv<T>(parent, tag);
-      for (int k = hb + 1; k < rounds; ++k) {
-        const int child = rel + (1 << k);
-        if (child < n) send((child + root) % n, tag, v);
-      }
+      p = recv_payload<T>((rel - (1 << hb) + root) % n, tag);
+      first_round = hb + 1;
     } else {
-      for (int k = 0; k < rounds; ++k) {
-        const int child = 1 << k;
-        if (child < n) send((child + root) % n, tag, v);
-      }
+      p = Payload::copy_of(std::span<const T>(v));
     }
-    return v;
+    for (int k = first_round; k < rounds; ++k) {
+      const int child = rel + (1 << k);
+      if (child < n) send((child + root) % n, tag, p);
+    }
+    if (rel == 0) return v;
+    return to_vector<T>(p);
   }
 
   /// Binomial-tree reduction of a scalar to `root`; every rank must pass the
@@ -223,25 +222,40 @@ class Comm {
     return bcast(std::move(v), 0);
   }
 
-  /// Ring allgather: returns the concatenation of every rank's vector in
-  /// rank order (ranks may contribute different lengths).
+  /// Ring allgather of shared payloads: element i is rank i's block, read
+  /// in place with view<T>(). Each step forwards the payload received on
+  /// the previous one, so every block is copied once, by its owner.
   template <class T>
-  std::vector<std::vector<T>> allgather(const std::vector<T>& mine) {
+    requires std::is_trivially_copyable_v<T>
+  std::vector<Payload> allgather_payloads(std::span<const T> mine) {
     const CollectiveScope scope(*this, commcheck::CollectiveKind::kAllgather,
                                 -1, mine.size());
     const int tag = next_tag();
     const int n = size();
-    std::vector<std::vector<T>> all(n);
-    all[rank()] = mine;
+    std::vector<Payload> all(n);
+    all[rank()] = Payload::copy_of(mine);
     const int right = (rank() + 1) % n;
     const int left = (rank() - 1 + n) % n;
     int have = rank();  // the block we forward this step
     for (int step = 0; step < n - 1; ++step) {
       send(right, tag, all[have]);
       const int incoming = (have - 1 + n) % n;
-      all[incoming] = recv<T>(left, tag);
+      all[incoming] = recv_payload<T>(left, tag);
       have = incoming;
     }
+    return all;
+  }
+
+  /// Ring allgather: returns every rank's vector in rank order (ranks may
+  /// contribute different lengths).
+  template <class T>
+    requires std::is_trivially_copyable_v<T>
+  std::vector<std::vector<T>> allgather(const std::vector<T>& mine) {
+    const std::vector<Payload> blocks =
+        allgather_payloads(std::span<const T>(mine));
+    std::vector<std::vector<T>> all;
+    all.reserve(blocks.size());
+    for (const Payload& b : blocks) all.push_back(to_vector<T>(b));
     return all;
   }
 
@@ -319,16 +333,35 @@ class Comm {
 
   /// Shared blocking-receive core; `elem_bytes`/`elems` describe the typed
   /// wrapper's expectation for the commcheck recorder.
-  std::vector<std::byte> recv_bytes_typed(int src, int tag,
-                                          std::uint64_t elem_bytes,
-                                          std::uint64_t elems) {
-    std::optional<std::vector<std::byte>> got =
+  Payload recv_checked(int src, int tag, std::uint64_t elem_bytes,
+                       std::uint64_t elems) {
+    std::optional<Payload> got =
         cluster_.op_recv(rank_, src, tag, /*timeout=*/-1.0,
                          /*timeout_throws=*/true, elem_bytes, elems);
     BLADED_REQUIRE_MSG(got.has_value(),
                        "Comm::recv on rank " + std::to_string(rank_) +
                            ": engine returned no payload without throwing");
     return std::move(*got);
+  }
+
+  template <class T>
+  void check_multiple(const char* op, const Payload& p, int src,
+                      int tag) const {
+    BLADED_REQUIRE_MSG(
+        p.size() % sizeof(T) == 0,
+        std::string("Comm::") + op + " payload size mismatch: src=" +
+            src_name(src) + " dst=" + std::to_string(rank_) +
+            " tag=" + std::to_string(tag) + ": " + std::to_string(p.size()) +
+            " bytes is not a multiple of element size " +
+            std::to_string(sizeof(T)));
+  }
+
+  /// The one copy out of a payload into caller-owned storage (no
+  /// zero-fill: the vector is built straight from the payload's elements).
+  template <class T>
+  static std::vector<T> to_vector(const Payload& p) {
+    const std::span<const T> elems = p.view<T>();
+    return std::vector<T>(elems.begin(), elems.end());
   }
 
   static std::string src_name(int src) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "arch/registry.hpp"
 #include "common/error.hpp"
 
 namespace bladed::arch {
+
+// gtest prints a parameter it has no printer for as a raw byte dump, which
+// for ProcessorModel includes heap addresses; test discovery copies that dump
+// into the registered test names, so they changed with every build.
+void PrintTo(const ProcessorModel& m, std::ostream* os) { *os << m.short_name; }
+
 namespace {
 
 KernelProfile balanced_kernel() {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -92,6 +94,51 @@ TEST(FtTransport, CorruptionIsCaughtByCrcAndRedelivered) {
   EXPECT_GE(cluster.fault_stats().corruptions, 1u);
   EXPECT_GE(cluster.fault_stats().crc_rejects, 1u);
   EXPECT_EQ(cluster.fault_stats().messages_lost, 0u);
+}
+
+TEST(FtTransport, CorruptionDuringAllgatherDamagesNoSharedPayload) {
+  // Every ring link corrupts its first transmissions. The ring forwards the
+  // payload it received, so the block on a corrupted link is shared with
+  // its owner and every rank that already holds it: the transport must
+  // damage a private copy, and the retransmission must deliver the exact
+  // values of the one shared block.
+  constexpr int kRanks = 6;
+  fault::FaultSchedule s;
+  for (int r = 0; r < kRanks; ++r) s.corrupt(r, (r + 1) % kRanks, 0.0, 1e-4);
+  const auto block_of = [](int r) {
+    std::vector<std::uint64_t> v(64);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(r) + 1) + i;
+    }
+    return v;
+  };
+  std::vector<std::vector<const std::byte*>> where(
+      kRanks, std::vector<const std::byte*>(kRanks, nullptr));
+  Cluster cluster(ft_cfg(kRanks, s));
+  cluster.run([&](Comm& comm) {
+    const std::vector<std::uint64_t> mine = block_of(comm.rank());
+    const std::vector<Payload> all =
+        comm.allgather_payloads(std::span<const std::uint64_t>(mine));
+    comm.barrier();  // every rank holds every block before anyone checks
+    for (int i = 0; i < kRanks; ++i) {
+      const std::span<const std::uint64_t> got = all[i].view<std::uint64_t>();
+      EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+                block_of(i))
+          << "rank " << comm.rank() << " block " << i;
+      where[comm.rank()][i] = all[i].bytes().data();
+    }
+    comm.barrier();
+  });
+  EXPECT_GE(cluster.fault_stats().corruptions,
+            static_cast<std::uint64_t>(kRanks));
+  EXPECT_EQ(cluster.fault_stats().crc_rejects,
+            cluster.fault_stats().corruptions);
+  EXPECT_EQ(cluster.fault_stats().messages_lost, 0u);
+  for (int i = 0; i < kRanks; ++i) {
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(where[r][i], where[i][i]) << "rank " << r << " block " << i;
+    }
+  }
 }
 
 TEST(FtTransport, TransientDelayWindowSlowsDelivery) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "arch/registry.hpp"
 #include "common/error.hpp"
@@ -97,6 +99,21 @@ TEST(ParallelIs, DeterministicAcrossRuns) {
   const ParallelIsResult b = run_parallel_is(cfg(4), 12, 8, 3);
   EXPECT_DOUBLE_EQ(a.elapsed_seconds, b.elapsed_seconds);
   EXPECT_EQ(a.bytes, b.bytes);
+}
+
+TEST(ParallelIs, ClassWAt24RanksIsPinned) {
+  // The npb-comm-24 IS configuration: traffic and virtual time are pinned
+  // bit for bit, so a change in how payloads or the offset scan are handled
+  // on the host cannot move a modelled number.
+  ParallelNpbConfig c = cfg(24);
+  c.host_threads = 4;
+  const ParallelIsResult r = run_parallel_is(c, 20, 16, 10, 1);
+  EXPECT_TRUE(r.ranks_are_permutation);
+  EXPECT_TRUE(r.globally_sorted);
+  EXPECT_EQ(r.messages, 5520u);
+  EXPECT_EQ(r.bytes, 1447355040u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.elapsed_seconds),
+            std::bit_cast<std::uint64_t>(11.374965707106208));
 }
 
 TEST(ParallelStencil, BitwiseIdenticalAcrossDecompositions) {

@@ -46,7 +46,9 @@ TEST_P(CollectivesTest, ReduceSumToEachRoot) {
     cluster.run([root, n](Comm& comm) {
       const int total =
           comm.reduce(comm.rank() + 1, std::plus<int>{}, root);
-      if (comm.rank() == root) EXPECT_EQ(total, n * (n + 1) / 2);
+      if (comm.rank() == root) {
+        EXPECT_EQ(total, n * (n + 1) / 2);
+      }
     });
   }
 }
