@@ -32,12 +32,13 @@ beat tier-2 by at least --jit-speedup (default 2.0). Both rows come from
 the same process on the same host, so the wall-time ratio is a fair gate
 even though absolute wall times never gate against the baseline.
 
-Results named "wcet.*" (the static cycle-certification rows from
-bench/ablation_cms) are held to *exact* stability against the baseline:
-both metrics in the row — the measured engine cycles and the certified
-upper bound — are products of pure, deterministic analysis, so any drift
-whatsoever is a real change to the certifier or the engine and must be
-re-baselined deliberately, not absorbed by the tolerance.
+Results named "wcet.*", "dispatch.*", "opt.*" and "jit.*" (the CMS rows
+from bench/ablation_cms: certified bounds, interpreter dispatch, optimizer
+and JIT-tier engine cycles) are held to *exact* stability against the
+baseline: every deterministic metric in those rows is the product of a
+pure, deterministic engine run or analysis, so any drift whatsoever is a
+real change to the certifier or the engine and must be re-baselined
+deliberately, not absorbed by the tolerance.
 
 Malformed collections report every bad row before exiting, so a botched
 regeneration surfaces all at once instead of one row per run.
@@ -48,6 +49,7 @@ import json
 import sys
 
 DETERMINISTIC = ("virtual_seconds", "ops", "cycles")
+EXACT_PREFIXES = ("wcet.", "dispatch.", "opt.", "jit.")
 
 
 def load(path):
@@ -180,13 +182,14 @@ def rel_delta(base, cand):
 
 
 def effective_tolerance(name, tolerance):
-    """Per-row tolerance: wcet.* rows are exact-stability gated.
+    """Per-row tolerance: EXACT_PREFIXES rows are exact-stability gated.
 
-    Certification is pure static analysis over a deterministic cost model;
-    a certified bound that moves at all means the certifier (or the engine
-    it prices) changed, which deserves an explicit re-baseline.
+    Certification is pure static analysis over a deterministic cost model,
+    and engine cycles are a deterministic function of program and config;
+    a number that moves at all means the certifier or the engine changed,
+    which deserves an explicit re-baseline.
     """
-    return 0.0 if name.startswith("wcet.") else tolerance
+    return 0.0 if name.startswith(EXACT_PREFIXES) else tolerance
 
 
 def compare(baseline_path, candidate_path, tolerance, jit_speedup):
@@ -215,7 +218,8 @@ def compare(baseline_path, candidate_path, tolerance, jit_speedup):
                 failures.append(
                     f"{bench_name}: {metric} moved {d * 100:.2f}% "
                     f"({b[metric]:.8g} -> {c[metric]:.8g}, "
-                    + ("exact stability required for wcet.* rows)"
+                    + ("exact stability required for "
+                       f"{key[1].split('.')[0]}.* rows)"
                        if tol == 0.0 else
                        f"tolerance {tol * 100:.0f}%)"))
         wall_b = b.get("wall_seconds", 0.0)

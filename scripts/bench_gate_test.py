@@ -145,8 +145,18 @@ class WcetExactStabilityRule(unittest.TestCase):
     def test_wcet_rows_get_zero_tolerance(self):
         self.assertEqual(bench_gate.effective_tolerance("wcet.daxpy", 0.10),
                          0.0)
-        self.assertEqual(bench_gate.effective_tolerance("opt.daxpy.l2", 0.10),
+        self.assertEqual(bench_gate.effective_tolerance("ep.ranks8", 0.10),
                          0.10)
+
+    def test_engine_cycle_rows_get_zero_tolerance(self):
+        for name in ("dispatch.daxpy n=65536", "opt.daxpy_n256.l2",
+                     "jit.naive_daxpy_n256.t3"):
+            self.assertEqual(bench_gate.effective_tolerance(name, 0.10), 0.0,
+                             name)
+
+    def test_prefix_must_lead_the_name(self):
+        self.assertEqual(
+            bench_gate.effective_tolerance("is.jit.ranks8", 0.10), 0.10)
 
     def test_tiny_drift_within_tolerance_still_fails_a_wcet_row(self):
         base = [row("wcet.daxpy", ops=12888.0, cycles=14120.0)]
@@ -158,9 +168,21 @@ class WcetExactStabilityRule(unittest.TestCase):
         cand = [row("wcet.daxpy", wall=9.9, ops=12888.0, cycles=14120.0)]
         self.assertEqual(self.compare_files(base, cand), 0)
 
-    def test_non_wcet_rows_keep_the_relative_tolerance(self):
-        base = [row("dispatch.daxpy", cycles=10000.0)]
-        cand = [row("dispatch.daxpy", cycles=10500.0)]
+    def test_tiny_drift_fails_dispatch_opt_and_jit_rows(self):
+        for name in ("dispatch.daxpy", "opt.daxpy.l2", "jit.daxpy.t2"):
+            base = [row(name, cycles=10000.0)]
+            cand = [row(name, cycles=10001.0)]
+            self.assertEqual(self.compare_files(base, cand), 1, name)
+
+    def test_exactly_stable_engine_rows_pass(self):
+        rows = [row("dispatch.daxpy", cycles=10000.0),
+                row("opt.daxpy.l0", cycles=9000.0),
+                row("opt.daxpy.l2", cycles=8000.0)]
+        self.assertEqual(self.compare_files(rows, rows), 0)
+
+    def test_other_rows_keep_the_relative_tolerance(self):
+        base = [row("ep.ranks8", cycles=10000.0)]
+        cand = [row("ep.ranks8", cycles=10500.0)]
         self.assertEqual(self.compare_files(base, cand), 0)
 
 

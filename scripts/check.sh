@@ -16,6 +16,8 @@
 # simnet engine, the fault-injection layer and the commcheck recorder all
 # exercise real rank threads, so TSan is the gate that proves the engine
 # lock discipline (every op_* and recorder hook under ClusterImpl::mu).
+# test_cms rides along for its concurrent-engines case: the CMS translator
+# keeps per-thread scratch and a Translator may be shared across threads.
 # Selected via the ctest labels bladed_add_test attaches per binary.
 #
 # prove: the analyzer gate under ASan + UBSan — test_prove (symbolic
@@ -93,9 +95,9 @@ run_tsan() {
     -DBLADED_TSAN=ON
   cmake --build "${dir}" -j "${JOBS}" \
     --target test_simnet test_fault test_commcheck test_treecode test_npb \
-    test_hostperf bladed-commcheck bladed-lint
+    test_hostperf test_cms bladed-commcheck bladed-lint
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-    -L 'test_simnet|test_fault|test_commcheck|test_treecode|test_npb|test_hostperf|commcheck|lint'
+    -L 'test_simnet|test_fault|test_commcheck|test_treecode|test_npb|test_hostperf|test_cms|commcheck|lint'
   echo "check.sh: threaded suites clean under TSan"
 }
 

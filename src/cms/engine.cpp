@@ -31,31 +31,47 @@ MorphingEngine::MorphingEngine(MorphingConfig cfg)
 
 void MorphingEngine::reset() {
   cache_.clear();
-  exec_counts_.clear();
-  ever_translated_.clear();
-  native_counts_.clear();
+  pcs_.clear();
   jit_entries_.clear();
-  jit_refused_.clear();
-  jit_program_data_ = nullptr;
-  jit_program_size_ = 0;
+  jit_mem_doubles_ = 0;
   interpreter_.reset_counts();
 }
 
+void MorphingEngine::bind_program(const Program& prog,
+                                  std::size_t mem_doubles) {
+  // Programs are never empty (validate), so an empty pcs_ means unbound.
+  const std::uint64_t hash = content_hash(prog);
+  if (prog.size() != pcs_.size() || hash != program_hash_) {
+    reset();
+    pcs_.assign(prog.size(), PcState{});
+    program_hash_ = hash;
+  }
+  // Compiled regions run without bounds checks on the strength of licenses
+  // proved for one memory size; under another they are recompiled from
+  // fresh promotion counts.
+  if (mem_doubles != jit_mem_doubles_) {
+    jit_entries_.clear();
+    for (PcState& p : pcs_) {
+      p.native_count = 0;
+      p.jit_refused = 0;
+      p.jit_entry = 0;
+    }
+    jit_mem_doubles_ = mem_doubles;
+  }
+}
+
 namespace {
-/// Execute the block at `pc` architecturally (shared semantics); returns the
-/// next pc, sets `halted` when a halt retires.
+/// Execute the block [pc, end) architecturally (shared semantics); returns
+/// the next pc, sets `halted` when a halt retires.
 std::size_t exec_block(const Program& prog, MachineState& st, std::size_t pc,
-                       bool& halted, std::uint64_t& instructions) {
-  const std::size_t end = block_end(prog, pc);
+                       std::size_t end, bool& halted) {
   while (pc < end) {
     const Instr& in = prog[pc];
     if (in.op == Op::kHalt) {
       halted = true;
-      ++instructions;
       return pc;
     }
     const std::size_t next = exec_instr(in, pc, st);
-    ++instructions;
     if (is_branch(in.op)) return next;
     pc = next;
   }
@@ -87,17 +103,8 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
     validate(optimized, st.mem.size());
   }
   const Program& prog = optimized.empty() ? source : optimized;
-  // Compiled regions are specific to one program; if the engine is re-run on
-  // a different one (or a re-optimized copy), the tier-3 state is stale and
-  // must be rebuilt from fresh profile counts.
-  if (cfg_.jit_compiler && (prog.data() != jit_program_data_ ||
-                            prog.size() != jit_program_size_)) {
-    jit_entries_.clear();
-    jit_refused_.clear();
-    native_counts_.clear();
-    jit_program_data_ = prog.data();
-    jit_program_size_ = prog.size();
-  }
+  bind_program(prog, st.mem.size());
+  const std::vector<std::size_t>& ends = interpreter_.block_ends(prog);
   MorphingStats s;
   const std::uint64_t hits0 = cache_.hits();
   const std::uint64_t misses0 = cache_.misses();
@@ -107,9 +114,10 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
   bool halted = false;
   std::uint64_t blocks = 0;
   while (!halted && pc < prog.size() && blocks < max_block_executions) {
+    PcState& ps = pcs_[pc];
     // Tier-3: a compiled region at this pc is the top tier. On rollback or
     // invalidation the entry disappears and we fall through to tier-2.
-    if (cfg_.jit_compiler && jit_entries_.count(pc) != 0) {
+    if (ps.jit_entry) {
       std::size_t next = pc;
       if (run_jit_region(prog, pc, st, max_block_executions - blocks, next,
                          halted, blocks, s)) {
@@ -118,21 +126,19 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
       }
     }
     ++blocks;
-    if (const Translation* t = cache_.lookup(pc)) {
+    std::uint64_t native = 0;
+    if (cache_.lookup(pc, &native) != nullptr) {
       // Native execution out of the translation cache.
       const std::size_t entry = pc;
-      const std::uint64_t native = t->native_cycles();
-      std::uint64_t dummy = 0;
-      pc = exec_block(prog, st, pc, halted, dummy);
+      pc = exec_block(prog, st, pc, ends[pc], halted);
       ++s.native_block_executions;
       s.native_cycles += native;
       // Tier-3 promotion: after jit_threshold native executions, hand the
       // region to the compiler. nullptr + retry backs off for another round
       // (e.g. successor blocks not yet translated); nullptr without retry is
       // a permanent refusal (no license).
-      if (cfg_.jit_compiler && !jit_refused_[entry] &&
-          jit_entries_.count(entry) == 0 &&
-          ++native_counts_[entry] >=
+      if (cfg_.jit_compiler && !ps.jit_refused && !ps.jit_entry &&
+          ++ps.native_count >=
               (cfg_.jit_budget ? cfg_.jit_budget(prog, st.mem.size(), entry)
                                : cfg_.jit_threshold)) {
         bool retry = false;
@@ -143,20 +149,21 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
           ++s.jit_regions;
           jit_entries_[entry] =
               JitEntry{std::move(region), false, cache_.evictions()};
+          ps.jit_entry = 1;
         } else if (retry) {
-          native_counts_[entry] = 0;
+          ps.native_count = 0;
         } else {
-          jit_refused_[entry] = true;
+          ps.jit_refused = 1;
           ++s.jit_refusals;
         }
       }
       continue;
     }
-    std::uint64_t& count = exec_counts_[pc];
-    ++count;
-    if (count >= cfg_.hot_threshold) {
+    ++ps.exec_count;
+    if (ps.exec_count >= cfg_.hot_threshold) {
       // Hot: invoke the translator, cache the result, run native.
-      Translation t = translator_.translate(prog, pc);
+      Translation& t = scratch_;
+      translator_.translate(prog, pc, t);
       if (cfg_.verify_translations) {
         const check::Report report =
             check::verify_translation(prog, t, translator_.limits());
@@ -167,8 +174,7 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
         }
         if (cfg_.prover) {
           std::string why;
-          if (!cfg_.prover(prog, pc, block_end(prog, pc), st.mem.size(),
-                           &why)) {
+          if (!cfg_.prover(prog, pc, ends[pc], st.mem.size(), &why)) {
             throw SimulationError("CMS translation of block at pc " +
                                   std::to_string(pc) +
                                   " carries no region license: " + why);
@@ -177,16 +183,14 @@ MorphingStats MorphingEngine::run(const Program& source, MachineState& st,
       }
       s.translate_cycles += translator_.translation_cost(t.instr_count);
       ++s.translations;
-      if (ever_translated_[pc]) ++s.retranslations;
-      ever_translated_[pc] = true;
-      const std::uint64_t native = t.native_cycles();
-      if (cache_.insert(std::move(t))) {
-        // inserted; next lookups hit.
-      }
-      std::uint64_t dummy = 0;
-      pc = exec_block(prog, st, pc, halted, dummy);
+      if (ps.ever_translated) ++s.retranslations;
+      ps.ever_translated = 1;
+      s.native_cycles += t.native_cycles();
+      // On success the cache hands back a recycled molecule buffer, so the
+      // next translation into scratch_ allocates nothing.
+      cache_.insert_recycling(t);
+      pc = exec_block(prog, st, pc, ends[pc], halted);
       ++s.native_block_executions;
-      s.native_cycles += native;
       continue;
     }
     // Cold: interpret, collecting statistics.
@@ -219,7 +223,8 @@ bool MorphingEngine::run_jit_region(const Program& prog, std::size_t pc,
     for (const std::size_t member : entry.region->member_blocks()) {
       if (cache_.peek(member) == nullptr) {
         jit_entries_.erase(it);
-        native_counts_[pc] = 0;
+        pcs_[pc].native_count = 0;
+        pcs_[pc].jit_entry = 0;
         ++stats.jit_invalidations;
         return false;
       }
@@ -250,7 +255,8 @@ bool MorphingEngine::run_jit_region(const Program& prog, std::size_t pc,
       st = std::move(reference);
       res = std::move(ref);
       jit_entries_.erase(it);
-      jit_refused_[pc] = true;
+      pcs_[pc].jit_entry = 0;
+      pcs_[pc].jit_refused = 1;
       ++stats.jit_rollbacks;
     }
   } else {

@@ -10,6 +10,8 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "cms/interpreter.hpp"
 #include "cms/tcache.hpp"
@@ -169,8 +171,9 @@ class MorphingEngine {
   explicit MorphingEngine(MorphingConfig cfg = {});
 
   /// Run `prog` on `st` until halt (or the instruction budget). Returns the
-  /// cycle accounting. Repeated calls keep the translation cache warm, like
-  /// repeated invocations of the same code on real hardware.
+  /// cycle accounting. Repeated calls with an equal program keep the
+  /// translation cache warm, like repeated invocations of the same code on
+  /// real hardware; a program with different contents starts cold.
   MorphingStats run(const Program& prog, MachineState& st,
                     std::uint64_t max_block_executions = 200'000'000);
 
@@ -202,17 +205,33 @@ class MorphingEngine {
                       bool& halted, std::uint64_t& blocks,
                       MorphingStats& stats);
 
+  /// Dispatch state for one program pc, 16 bytes: the hotspot profile, the
+  /// retranslation flag and the tier-3 promotion bookkeeping.
+  struct PcState {
+    std::uint64_t exec_count : 61 = 0;      ///< cache-miss dispatches
+    std::uint64_t ever_translated : 1 = 0;  ///< a retranslation next time
+    std::uint64_t jit_refused : 1 = 0;      ///< tier-3 refused for good
+    std::uint64_t jit_entry : 1 = 0;        ///< jit_entries_ holds pc
+    std::uint64_t native_count = 0;  ///< tier-2 hits toward promotion
+  };
+  static_assert(sizeof(PcState) == 16);
+
+  /// Point the engine at `prog` before a run on `mem_doubles` of memory.
+  /// The translation cache, the profile and the tier-3 state are keyed by
+  /// pc alone, so a program whose contents differ from the last one run
+  /// starts cold; an equal program at a new address (a fresh optimizer
+  /// copy) stays warm.
+  void bind_program(const Program& prog, std::size_t mem_doubles);
+
   MorphingConfig cfg_;
   Interpreter interpreter_;
   Translator translator_;
   TranslationCache cache_;
-  std::unordered_map<std::size_t, std::uint64_t> exec_counts_;
-  std::unordered_map<std::size_t, bool> ever_translated_;
-  std::unordered_map<std::size_t, std::uint64_t> native_counts_;
+  Translation scratch_;  ///< translator output, recycled through the cache
+  std::vector<PcState> pcs_;  ///< indexed by pc of the bound program
+  std::uint64_t program_hash_ = 0;  ///< content_hash of the bound program
   std::unordered_map<std::size_t, JitEntry> jit_entries_;
-  std::unordered_map<std::size_t, bool> jit_refused_;
-  const Instr* jit_program_data_ = nullptr;  ///< program identity: compiled
-  std::size_t jit_program_size_ = 0;         ///< regions die on a change
+  std::size_t jit_mem_doubles_ = 0;  ///< memory size jit_entries_ serve
 };
 
 }  // namespace bladed::cms

@@ -51,12 +51,10 @@ void Interpreter::reset_counts() {
 
 std::size_t Interpreter::run_block(const Program& prog, MachineState& st,
                                    std::size_t pc, InterpretResult& result) {
-  if (prog.data() != indexed_data_ || prog.size() != indexed_size_) {
-    index_program(prog);
-  }
+  const std::vector<std::size_t>& ends = block_ends(prog);
   if (pc > indexed_size_) return pc;  // off-program pc: nothing to run
   ++counts_[pc];
-  const std::size_t end = end_of_[pc];
+  const std::size_t end = ends[pc];
   while (pc < end) {
     const Instr& in = prog[pc];
     if (in.op == Op::kHalt) {

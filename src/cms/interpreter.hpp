@@ -42,6 +42,18 @@ class Interpreter {
   std::size_t run_block(const Program& prog, MachineState& st, std::size_t pc,
                         InterpretResult& result);
 
+  /// The dispatch index for `prog`, (re)built when `prog` is not the program
+  /// last indexed: element pc is one past the terminator of the block
+  /// containing pc (block_end), element prog.size() is prog.size(). The
+  /// engine's tier-2 path reads block ends from here too, so there is one
+  /// index per engine. Valid until another program is indexed.
+  const std::vector<std::size_t>& block_ends(const Program& prog) {
+    if (prog.data() != indexed_data_ || prog.size() != indexed_size_) {
+      index_program(prog);
+    }
+    return end_of_;
+  }
+
   /// Snapshot of the block execution counts keyed by leader pc, summed over
   /// every program interpreted since the last reset_counts().
   [[nodiscard]] std::unordered_map<std::size_t, std::uint64_t> block_counts()
@@ -58,7 +70,7 @@ class Interpreter {
   /// (data pointer, size); counts for a previously indexed program are
   /// folded into prior_counts_ first. A program must not be mutated in
   /// place between runs without an intervening reset_counts() — the engine
-  /// resets at every run start.
+  /// calls it whenever the contents of the program it runs change.
   void index_program(const Program& prog);
 
   InterpreterCosts costs_;

@@ -1,94 +1,9 @@
 #include "cms/isa.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace bladed::cms {
-
-UnitClass unit_of(Op op) {
-  switch (op) {
-    case Op::kAddi:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMuli:
-    case Op::kMovi:
-      return UnitClass::kAlu;
-    case Op::kFadd:
-    case Op::kFsub:
-    case Op::kFmul:
-    case Op::kFdiv:
-    case Op::kFsqrt:
-    case Op::kFmovi:
-      return UnitClass::kFpu;
-    case Op::kFload:
-    case Op::kFstore:
-      return UnitClass::kLsu;
-    case Op::kBlt:
-    case Op::kBne:
-    case Op::kJmp:
-      return UnitClass::kBranch;
-    case Op::kHalt:
-      return UnitClass::kNone;
-  }
-  return UnitClass::kNone;
-}
-
-int latency_of(Op op) {
-  switch (op) {
-    case Op::kFadd:
-    case Op::kFsub:
-    case Op::kFmul:
-      return 3;  // 10-stage fp pipeline, forwarded
-    case Op::kFdiv:
-      return 28;
-    case Op::kFsqrt:
-      return 36;
-    case Op::kFload:
-      return 2;
-    default:
-      return 1;
-  }
-}
-
-bool is_branch(Op op) {
-  return op == Op::kBlt || op == Op::kBne || op == Op::kJmp;
-}
-
-bool is_mem_op(Op op) { return op == Op::kFload || op == Op::kFstore; }
-
-bool reads_int_reg(const Instr& in, int reg) {
-  switch (in.op) {
-    case Op::kAddi:
-    case Op::kMuli:
-      return in.b == reg;
-    case Op::kAdd:
-    case Op::kSub:
-      return in.b == reg || in.c == reg;
-    case Op::kFload:
-    case Op::kFstore:
-      return in.b == reg;
-    case Op::kBlt:
-    case Op::kBne:
-      return in.a == reg || in.b == reg;
-    default:
-      return false;
-  }
-}
-
-bool reads_fp_reg(const Instr& in, int reg) {
-  switch (in.op) {
-    case Op::kFadd:
-    case Op::kFsub:
-    case Op::kFmul:
-    case Op::kFdiv:
-      return in.b == reg || in.c == reg;
-    case Op::kFsqrt:
-      return in.b == reg;
-    case Op::kFstore:
-      return in.a == reg;
-    default:
-      return false;
-  }
-}
 
 std::string operand_range_error(const Instr& in) {
   const auto int_reg = [](int r) { return r >= 0 && r < 16; };
@@ -142,34 +57,6 @@ std::string operand_range_error(const Instr& in) {
       break;
   }
   return {};
-}
-
-bool writes_int_reg(Op op) {
-  switch (op) {
-    case Op::kAddi:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMuli:
-    case Op::kMovi:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool writes_fp_reg(Op op) {
-  switch (op) {
-    case Op::kFadd:
-    case Op::kFsub:
-    case Op::kFmul:
-    case Op::kFdiv:
-    case Op::kFsqrt:
-    case Op::kFmovi:
-    case Op::kFload:
-      return true;
-    default:
-      return false;
-  }
 }
 
 std::size_t exec_instr(const Instr& in, std::size_t pc, MachineState& st) {
@@ -250,6 +137,24 @@ void validate(const Program& prog, std::size_t mem_doubles) {
   }
   BLADED_REQUIRE_MSG(prog.back().op == Op::kHalt || is_branch(prog.back().op),
                      "program must end in a halt or a branch");
+}
+
+std::uint64_t content_hash(const Program& prog, std::uint64_t salt) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(salt);
+  for (const Instr& in : prog) {
+    mix(static_cast<std::uint64_t>(in.op));
+    mix(static_cast<std::uint64_t>(in.a));
+    mix(static_cast<std::uint64_t>(in.b));
+    mix(static_cast<std::uint64_t>(in.c));
+    mix(static_cast<std::uint64_t>(in.imm_i));
+    mix(std::bit_cast<std::uint64_t>(in.imm_f));
+  }
+  return h;
 }
 
 std::string to_string(Op op) {

@@ -69,21 +69,127 @@ struct MachineState {
 /// cost table and the translator's slot assignment).
 enum class UnitClass : std::uint8_t { kAlu, kFpu, kLsu, kBranch, kNone };
 
-[[nodiscard]] UnitClass unit_of(Op op);
+/// The per-op facts below are inline because the interpreter, tier-2 and
+/// the translator consult them for every instruction.
+[[nodiscard]] constexpr UnitClass unit_of(Op op) {
+  switch (op) {
+    case Op::kAddi:
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMuli:
+    case Op::kMovi:
+      return UnitClass::kAlu;
+    case Op::kFadd:
+    case Op::kFsub:
+    case Op::kFmul:
+    case Op::kFdiv:
+    case Op::kFsqrt:
+    case Op::kFmovi:
+      return UnitClass::kFpu;
+    case Op::kFload:
+    case Op::kFstore:
+      return UnitClass::kLsu;
+    case Op::kBlt:
+    case Op::kBne:
+    case Op::kJmp:
+      return UnitClass::kBranch;
+    case Op::kHalt:
+      return UnitClass::kNone;
+  }
+  return UnitClass::kNone;
+}
 
 /// Result latency in native VLIW cycles (dependence distance to consumers).
-[[nodiscard]] int latency_of(Op op);
+[[nodiscard]] constexpr int latency_of(Op op) {
+  switch (op) {
+    case Op::kFadd:
+    case Op::kFsub:
+    case Op::kFmul:
+      return 3;  // 10-stage fp pipeline, forwarded
+    case Op::kFdiv:
+      return 28;
+    case Op::kFsqrt:
+      return 36;
+    case Op::kFload:
+      return 2;
+    default:
+      return 1;
+  }
+}
 
-[[nodiscard]] bool is_branch(Op op);
-[[nodiscard]] bool is_mem_op(Op op);
-[[nodiscard]] bool writes_int_reg(Op op);
-[[nodiscard]] bool writes_fp_reg(Op op);
+[[nodiscard]] constexpr bool is_branch(Op op) {
+  return op == Op::kBlt || op == Op::kBne || op == Op::kJmp;
+}
+
+[[nodiscard]] constexpr bool is_mem_op(Op op) {
+  return op == Op::kFload || op == Op::kFstore;
+}
+
+[[nodiscard]] constexpr bool writes_int_reg(Op op) {
+  switch (op) {
+    case Op::kAddi:
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMuli:
+    case Op::kMovi:
+      return true;
+    default:
+      return false;
+  }
+}
+
+[[nodiscard]] constexpr bool writes_fp_reg(Op op) {
+  switch (op) {
+    case Op::kFadd:
+    case Op::kFsub:
+    case Op::kFmul:
+    case Op::kFdiv:
+    case Op::kFsqrt:
+    case Op::kFmovi:
+    case Op::kFload:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// Operand-level facts shared by the translator's dependence analysis and
 /// the `bladed::check` dataflow passes: does `in` read integer register
 /// `reg` / fp register `reg`?
-[[nodiscard]] bool reads_int_reg(const Instr& in, int reg);
-[[nodiscard]] bool reads_fp_reg(const Instr& in, int reg);
+[[nodiscard]] constexpr bool reads_int_reg(const Instr& in, int reg) {
+  switch (in.op) {
+    case Op::kAddi:
+    case Op::kMuli:
+      return in.b == reg;
+    case Op::kAdd:
+    case Op::kSub:
+      return in.b == reg || in.c == reg;
+    case Op::kFload:
+    case Op::kFstore:
+      return in.b == reg;
+    case Op::kBlt:
+    case Op::kBne:
+      return in.a == reg || in.b == reg;
+    default:
+      return false;
+  }
+}
+
+[[nodiscard]] constexpr bool reads_fp_reg(const Instr& in, int reg) {
+  switch (in.op) {
+    case Op::kFadd:
+    case Op::kFsub:
+    case Op::kFmul:
+    case Op::kFdiv:
+      return in.b == reg || in.c == reg;
+    case Op::kFsqrt:
+      return in.b == reg;
+    case Op::kFstore:
+      return in.a == reg;
+    default:
+      return false;
+  }
+}
 
 /// Non-empty explanation when an operand register index of `in` is outside
 /// its register file; empty string when all operands are in range. Shared
@@ -101,6 +207,13 @@ enum class UnitClass : std::uint8_t { kAlu, kFpu, kLsu, kBranch, kNone };
 /// Branch targets may equal `prog.size()`: branching one past the end exits
 /// the program like a halt (fallthrough-halt).
 void validate(const Program& prog, std::size_t mem_doubles = 4096);
+
+/// FNV-1a over every field of every instruction (imm_f by bit pattern),
+/// starting from `salt`: equal programs hash equal. The engine notices a
+/// changed program by it; jit and prove salt it with the memory size as a
+/// per-program memoization key.
+[[nodiscard]] std::uint64_t content_hash(const Program& prog,
+                                         std::uint64_t salt = 0);
 
 [[nodiscard]] std::string to_string(Op op);
 /// Full rendering with operands, e.g. "fload f2, [r1+0]" or "blt r1, r2 -> 3".

@@ -56,6 +56,13 @@ class Translator {
   [[nodiscard]] Translation translate(const Program& prog,
                                       std::size_t pc) const;
 
+  /// Same, into `out`, reusing its molecule storage. Dependence lists and
+  /// scheduling state live in flat per-thread scratch, so once the scratch
+  /// and `out` have grown to the largest block seen a translation
+  /// allocates nothing; a Translator is safe to share across threads.
+  /// Register operands must lie in [0, 64).
+  void translate(const Program& prog, std::size_t pc, Translation& out) const;
+
   /// Cycles charged for performing a translation of `instr_count` source
   /// instructions.
   [[nodiscard]] std::uint64_t translation_cost(std::size_t instr_count) const {

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "jit/compile.hpp"
@@ -43,88 +44,94 @@ cms::CompiledRegion::RunResult JitRegion::run(cms::MachineState& st,
   double* const mem = st.mem.data();
   const JInstr* const code = code_.data();
   std::uint64_t executed = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t ip = 0;
-  for (;;) {
-    const JInstr& in = code[ip];
-    switch (in.op) {
-      case JOp::kEnter:
-        if (executed == max_blocks) {
-          return finish(static_cast<std::size_t>(in.imm_i), false, executed);
-        }
-        ++executed;
-        ++counts_[in.target];
-        last_seq_[in.target] = ++seq;
-        ++ip;
-        break;
-      case JOp::kAddi:
-        r[in.a] = r[in.b] + in.imm_i;
-        ++ip;
-        break;
-      case JOp::kAdd:
-        r[in.a] = r[in.b] + r[in.c];
-        ++ip;
-        break;
-      case JOp::kSub:
-        r[in.a] = r[in.b] - r[in.c];
-        ++ip;
-        break;
-      case JOp::kMuli:
-        r[in.a] = r[in.b] * in.imm_i;
-        ++ip;
-        break;
-      case JOp::kMovi:
-        r[in.a] = in.imm_i;
-        ++ip;
-        break;
-      case JOp::kFadd:
-        f[in.a] = f[in.b] + f[in.c];
-        ++ip;
-        break;
-      case JOp::kFsub:
-        f[in.a] = f[in.b] - f[in.c];
-        ++ip;
-        break;
-      case JOp::kFmul:
-        f[in.a] = f[in.b] * f[in.c];
-        ++ip;
-        break;
-      case JOp::kFdiv:
-        f[in.a] = f[in.b] / f[in.c];
-        ++ip;
-        break;
-      case JOp::kFsqrt:
-        f[in.a] = std::sqrt(f[in.b]);
-        ++ip;
-        break;
-      case JOp::kFmovi:
-        f[in.a] = in.imm_f;
-        ++ip;
-        break;
-      case JOp::kFloadRaw:
-        // Bounds check elided: the access carries a prove::AccessProof.
-        f[in.a] = mem[static_cast<std::size_t>(r[in.b] + in.imm_i)];
-        ++ip;
-        break;
-      case JOp::kFstoreRaw:
-        mem[static_cast<std::size_t>(r[in.b] + in.imm_i)] = f[in.a];
-        ++ip;
-        break;
-      case JOp::kBlt:
-        ip = r[in.a] < r[in.b] ? in.target : in.target2;
-        break;
-      case JOp::kBne:
-        ip = r[in.a] != r[in.b] ? in.target : in.target2;
-        break;
-      case JOp::kJmp:
-        ip = in.target;
-        break;
-      case JOp::kExit:
-        return finish(static_cast<std::size_t>(in.imm_i), false, executed);
-      case JOp::kHalt:
-        return finish(static_cast<std::size_t>(in.imm_i), true, executed);
-    }
+  // Threaded dispatch (GCC/Clang labels-as-values): every handler ends in
+  // its own indirect jump, so the host predictor sees one dispatch site per
+  // guest op rather than one shared switch. Entries follow JOp's order.
+  static const void* const handlers[] = {
+      &&addi, &&add,  &&sub,   &&muli,  &&movi,  &&fadd, &&fsub,
+      &&fmul, &&fdiv, &&fsqrt, &&fmovi, &&fload, &&fstore, &&blt,
+      &&bne,  &&jmp,  &&enter, &&exit,  &&halt};
+  static_assert(std::size(handlers) ==
+                static_cast<std::size_t>(JOp::kHalt) + 1);
+  const JInstr* in = code;
+#define BLADED_JIT_DISPATCH() goto* handlers[static_cast<std::size_t>(in->op)]
+  BLADED_JIT_DISPATCH();
+enter:
+  if (executed == max_blocks) {
+    return finish(static_cast<std::size_t>(in->imm_i), false, executed);
   }
+  ++executed;
+  ++counts_[in->target];
+  last_seq_[in->target] = executed;  // executed doubles as the sequence
+  ++in;
+  BLADED_JIT_DISPATCH();
+addi:
+  r[in->a] = r[in->b] + in->imm_i;
+  ++in;
+  BLADED_JIT_DISPATCH();
+add:
+  r[in->a] = r[in->b] + r[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+sub:
+  r[in->a] = r[in->b] - r[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+muli:
+  r[in->a] = r[in->b] * in->imm_i;
+  ++in;
+  BLADED_JIT_DISPATCH();
+movi:
+  r[in->a] = in->imm_i;
+  ++in;
+  BLADED_JIT_DISPATCH();
+fadd:
+  f[in->a] = f[in->b] + f[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+fsub:
+  f[in->a] = f[in->b] - f[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+fmul:
+  f[in->a] = f[in->b] * f[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+fdiv:
+  f[in->a] = f[in->b] / f[in->c];
+  ++in;
+  BLADED_JIT_DISPATCH();
+fsqrt:
+  f[in->a] = std::sqrt(f[in->b]);
+  ++in;
+  BLADED_JIT_DISPATCH();
+fmovi:
+  f[in->a] = in->imm_f;
+  ++in;
+  BLADED_JIT_DISPATCH();
+fload:
+  // Bounds check elided: the access carries a prove::AccessProof.
+  f[in->a] = mem[static_cast<std::size_t>(r[in->b] + in->imm_i)];
+  ++in;
+  BLADED_JIT_DISPATCH();
+fstore:
+  mem[static_cast<std::size_t>(r[in->b] + in->imm_i)] = f[in->a];
+  ++in;
+  BLADED_JIT_DISPATCH();
+blt:
+  in = code + (r[in->a] < r[in->b] ? in->target : in->target2);
+  BLADED_JIT_DISPATCH();
+bne:
+  in = code + (r[in->a] != r[in->b] ? in->target : in->target2);
+  BLADED_JIT_DISPATCH();
+jmp:
+  in = code + in->target;
+  BLADED_JIT_DISPATCH();
+exit:
+  return finish(static_cast<std::size_t>(in->imm_i), false, executed);
+halt:
+  return finish(static_cast<std::size_t>(in->imm_i), true, executed);
+#undef BLADED_JIT_DISPATCH
 }
 
 cms::CompiledRegion::RunResult JitRegion::run_reference(

@@ -14,41 +14,13 @@
 
 namespace bladed::jit {
 
-namespace {
-
-/// FNV-1a over program content + memory size — same memoization key the
-/// prove-backed engine hook uses, so one analysis serves every entry pc of
-/// a program.
-std::uint64_t hash_program(const cms::Program& prog, std::size_t mem) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(static_cast<std::uint64_t>(mem));
-  for (const cms::Instr& in : prog) {
-    mix(static_cast<std::uint64_t>(in.op));
-    mix(static_cast<std::uint64_t>(in.a));
-    mix(static_cast<std::uint64_t>(in.b));
-    mix(static_cast<std::uint64_t>(in.c));
-    mix(static_cast<std::uint64_t>(in.imm_i));
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(in.imm_f));
-    std::memcpy(&bits, &in.imm_f, sizeof(bits));
-    mix(bits);
-  }
-  return h;
-}
-
-}  // namespace
-
 cms::RegionCompiler make_region_compiler() {
   auto cache = std::make_shared<std::unordered_map<std::uint64_t, ProgramFacts>>();
   return [cache](const cms::Program& prog, std::size_t entry_pc,
                  const cms::TranslationCache& tcache, std::size_t mem_doubles,
                  bool* retry, std::string* why)
              -> std::unique_ptr<cms::CompiledRegion> {
-    const std::uint64_t key = hash_program(prog, mem_doubles);
+    const std::uint64_t key = cms::content_hash(prog, mem_doubles);
     auto it = cache->find(key);
     if (it == cache->end()) {
       it = cache->emplace(key, analyze_program(prog, mem_doubles)).first;
@@ -70,8 +42,8 @@ void attach_certified_budgets(cms::MorphingConfig& cfg) {
   const wcet::CostParams costs = wcet::CostParams::from(cfg);
   const std::uint64_t fallback = cfg.jit_threshold;
   // Interpreted warm-up dispatches before the first translation; only
-  // dispatches after it can be cache hits, which is what native_counts_
-  // counts against the budget.
+  // dispatches after it can be cache hits, which is what the engine's
+  // per-pc native count measures against the budget.
   const std::uint64_t warmup =
       costs.hot_threshold == 0 ? 0 : costs.hot_threshold - 1;
   auto memo = std::make_shared<
@@ -80,7 +52,7 @@ void attach_certified_budgets(cms::MorphingConfig& cfg) {
   cfg.jit_budget = [costs, fallback, warmup, memo](
                        const cms::Program& prog, std::size_t mem_doubles,
                        std::size_t entry_pc) -> std::uint64_t {
-    const std::uint64_t key = hash_program(prog, mem_doubles);
+    const std::uint64_t key = cms::content_hash(prog, mem_doubles);
     auto it = memo->find(key);
     if (it == memo->end()) {
       std::unordered_map<std::size_t, std::uint64_t> budgets;

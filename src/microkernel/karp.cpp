@@ -1,26 +1,15 @@
 #include "microkernel/karp.hpp"
 
-#include <array>
-#include <bit>
-#include <cmath>
-
-#include "common/error.hpp"
-
 namespace bladed::micro {
 
 namespace {
-
-struct Segment {
-  double c0, c1, c2;  ///< quadratic in t = m - mid, f(m) ~ c0 + t*(c1 + t*c2)
-  double mid;
-};
 
 /// Quadratic interpolation of 1/sqrt at the three Chebyshev nodes of each
 /// segment — interpolation at Chebyshev nodes is within a small factor of the
 /// minimax fit, which is the "Chebyshev polynomial interpolation" step of
 /// Karp's scheme.
-std::array<Segment, kKarpTableSegments> build_table() {
-  std::array<Segment, kKarpTableSegments> table;
+std::array<KarpSegment, kKarpTableSegments> build_table() {
+  std::array<KarpSegment, kKarpTableSegments> table;
   const double width = 3.0 / kKarpTableSegments;  // range [1,4)
   for (int i = 0; i < kKarpTableSegments; ++i) {
     const double a = 1.0 + i * width;
@@ -36,84 +25,18 @@ std::array<Segment, kKarpTableSegments> build_table() {
     const double f2 = 1.0 / std::sqrt(mid + n2);
     // Fit f(t) = c0 + c1 t + c2 t^2 through (n0,f0),(n1,f1),(n2,f2); n1 = 0
     // and n0 = -n2 make the solve trivial.
-    Segment s;
+    KarpSegment s;
     s.mid = mid;
     s.c0 = f1;
     s.c1 = (f2 - f0) / (2.0 * n2);
     s.c2 = (f2 + f0 - 2.0 * f1) / (2.0 * n2 * n2);
-    table[i] = s;
+    table[static_cast<std::size_t>(i)] = s;
   }
   return table;
 }
 
-const std::array<Segment, kKarpTableSegments>& table() {
-  static const auto t = build_table();
-  return t;
-}
-
-/// Split x = m * 2^e with e even and m in [1,4).
-struct Reduced {
-  double m;
-  std::int64_t e;  ///< even
-};
-
-Reduced reduce(double x) {
-  BLADED_REQUIRE_MSG(x > 0.0 && std::isfinite(x),
-                     "karp_rsqrt requires a positive finite argument");
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  std::int64_t e = static_cast<std::int64_t>((bits >> 52) & 0x7FF) - 1023;
-  std::uint64_t mant = bits & ((std::uint64_t{1} << 52) - 1);
-  double m;
-  if (e == -1023) {  // subnormal: normalize via multiplication by 2^54
-    const double scaled = x * 0x1p54;
-    const Reduced r = reduce(scaled);
-    return {r.m, r.e - 54};
-  }
-  m = std::bit_cast<double>(mant | (std::uint64_t{1023} << 52));  // [1,2)
-  if (e & 1) {  // fold the exponent parity into the mantissa range
-    m *= 2.0;
-    e -= 1;
-  }
-  return {m, e};
-}
-
-double estimate_on_reduced(double m) {
-  const double width = 3.0 / kKarpTableSegments;
-  int idx = static_cast<int>((m - 1.0) / width);
-  if (idx >= kKarpTableSegments) idx = kKarpTableSegments - 1;
-  const Segment& s = table()[idx];
-  const double t = m - s.mid;
-  return s.c0 + t * (s.c1 + t * s.c2);
-}
-
-/// 2^(-e/2) for even e, built directly from the exponent field.
-double half_exponent_scale(std::int64_t e) {
-  const std::int64_t half = -e / 2;
-  return std::bit_cast<double>(
-      static_cast<std::uint64_t>(half + 1023) << 52);
-}
-
 }  // namespace
 
-double karp_rsqrt_estimate(double x) {
-  const Reduced r = reduce(x);
-  return estimate_on_reduced(r.m) * half_exponent_scale(r.e);
-}
-
-double karp_rsqrt(double x, int nr_iterations) {
-  BLADED_REQUIRE(nr_iterations >= 0);
-  const Reduced r = reduce(x);
-  double y = estimate_on_reduced(r.m);
-  // Newton–Raphson for f(y) = y^-2 - m: y' = y*(1.5 - 0.5*m*y*y).
-  for (int i = 0; i < nr_iterations; ++i) {
-    y = y * (1.5 - 0.5 * r.m * y * y);
-  }
-  return y * half_exponent_scale(r.e);
-}
-
-double karp_rcbrt3(double r2, int nr_iterations) {
-  const double y = karp_rsqrt(r2, nr_iterations);
-  return y * y * y;
-}
+const std::array<KarpSegment, kKarpTableSegments> kKarpTable = build_table();
 
 }  // namespace bladed::micro

@@ -48,32 +48,6 @@ bool range_licensed(const ProveResult& res, std::size_t begin, std::size_t end,
   return true;
 }
 
-std::uint64_t hash_program(const cms::Program& prog, std::size_t mem) {
-  // FNV-1a over the instruction fields + memory size. A collision could in
-  // principle hand one program another's license; at 64 bits that needs
-  // billions of distinct programs per process, far beyond any engine run.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(mem);
-  for (const cms::Instr& in : prog) {
-    mix(static_cast<std::uint64_t>(in.op));
-    mix(static_cast<std::uint64_t>(in.a));
-    mix(static_cast<std::uint64_t>(in.b));
-    mix(static_cast<std::uint64_t>(in.c));
-    mix(static_cast<std::uint64_t>(in.imm_i));
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(in.imm_f));
-    __builtin_memcpy(&bits, &in.imm_f, sizeof(bits));
-    mix(bits);
-  }
-  return h;
-}
-
 }  // namespace
 
 ProveResult prove_program(const cms::Program& prog, std::size_t mem_doubles) {
@@ -223,7 +197,9 @@ cms::RegionProver engine_prover() {
       if (why != nullptr) *why = "invalid pc range";
       return false;
     }
-    const std::uint64_t key = hash_program(prog, mem_doubles);
+    // A key collision could hand one program another's license; at 64 bits
+    // that needs billions of distinct programs per process.
+    const std::uint64_t key = cms::content_hash(prog, mem_doubles);
     std::shared_ptr<const ProveResult> res;
     const auto it = cache->find(key);
     if (it != cache->end()) {

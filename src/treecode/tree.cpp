@@ -20,8 +20,10 @@ struct Builder {
   OpCounter ops;
 
   /// Create the node for [first,last) at `level`; returns its index.
-  /// Children are appended contiguously after all nodes of the parent are
-  /// known, breadth-on-demand (children of one parent are contiguous).
+  /// Nodes are appended in depth-first pre-order: each child's whole
+  /// subtree is built before its next sibling, so siblings are not adjacent
+  /// (the parent records their indices in child[]) but every subtree is one
+  /// contiguous index range.
   std::uint32_t build_node(std::uint32_t first, std::uint32_t last, int level,
                            std::uint64_t path_key, const double center[3],
                            double half) {

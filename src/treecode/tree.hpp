@@ -2,10 +2,12 @@
 
 /// Hashed oct-tree over Morton-sorted particles (Warren & Salmon SC'93).
 /// The tree is built by recursively splitting the key-sorted particle range
-/// on key-prefix octants; nodes live in a flat vector (children contiguous)
-/// and are additionally indexed by their Warren–Salmon path key in a hash
-/// map, which is what makes locating an arbitrary cell O(1) — the property
-/// the "hashed" oct-tree is named for.
+/// on key-prefix octants; nodes live in a flat vector in depth-first
+/// pre-order (every subtree is one contiguous index range; siblings are
+/// reached through Node::child, not by adjacency) and are additionally
+/// indexed by their Warren–Salmon path key in a hash map, which is what
+/// makes locating an arbitrary cell O(1) — the property the "hashed"
+/// oct-tree is named for.
 
 #include <cstdint>
 #include <unordered_map>

@@ -136,7 +136,7 @@ TEST(CostModel, SharedFpuSerializesAddsAndMuls) {
 TEST(CostModel, RejectsNonPositiveScale) {
   KernelProfile p = balanced_kernel();
   p.scale = 0.0;
-  EXPECT_THROW(estimate(tm5600_633(), p), PreconditionError);
+  EXPECT_THROW((void)estimate(tm5600_633(), p), PreconditionError);
 }
 
 class EveryProcessorTest : public ::testing::TestWithParam<ProcessorModel> {};

@@ -66,7 +66,7 @@ TEST(Roofline, MissIntensityLowersTheMemoryCeiling) {
   const ProcessorModel& cpu = power3_375();
   EXPECT_GT(memory_mops_ceiling(cpu, 0.0), memory_mops_ceiling(cpu, 0.5));
   EXPECT_GT(memory_mops_ceiling(cpu, 0.5), memory_mops_ceiling(cpu, 1.0));
-  EXPECT_THROW(memory_mops_ceiling(cpu, 1.5), PreconditionError);
+  EXPECT_THROW((void)memory_mops_ceiling(cpu, 1.5), PreconditionError);
 }
 
 TEST(Roofline, PureComputeKernelHasInfiniteIntensity) {

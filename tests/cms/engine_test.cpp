@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
 
 #include "cms/programs.hpp"
+#include "jit/jit.hpp"
+#include "opt/opt.hpp"
 
 namespace bladed::cms {
 namespace {
@@ -267,6 +272,203 @@ TEST(MorphingEngine, ResetClearsCache) {
   MachineState st2 = daxpy_state(500);
   const MorphingStats again = engine.run(prog, st2);
   EXPECT_GE(again.translations, 1u);  // must re-translate after reset
+}
+
+void expect_same_stats(const MorphingStats& a, const MorphingStats& b) {
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.interpreted_instructions, b.interpreted_instructions);
+  EXPECT_EQ(a.interpret_cycles, b.interpret_cycles);
+  EXPECT_EQ(a.native_block_executions, b.native_block_executions);
+  EXPECT_EQ(a.native_cycles, b.native_cycles);
+  EXPECT_EQ(a.translations, b.translations);
+  EXPECT_EQ(a.translate_cycles, b.translate_cycles);
+  EXPECT_EQ(a.retranslations, b.retranslations);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+  EXPECT_EQ(a.jit_regions, b.jit_regions);
+  EXPECT_EQ(a.jit_block_executions, b.jit_block_executions);
+  EXPECT_EQ(a.jit_rollbacks, b.jit_rollbacks);
+  EXPECT_EQ(a.jit_refusals, b.jit_refusals);
+  EXPECT_EQ(a.jit_invalidations, b.jit_invalidations);
+}
+
+bool same_state(const MachineState& a, const MachineState& b) {
+  return std::memcmp(a.r, b.r, sizeof a.r) == 0 &&
+         std::memcmp(a.f, b.f, sizeof a.f) == 0 && a.mem == b.mem;
+}
+
+TEST(MorphingEngine, ReusedEngineMatchesFreshOnADifferentProgram) {
+  // The cache and the profile are keyed by pc, so a warm engine handed a
+  // different program must start cold rather than run the old program's
+  // translations.
+  MorphingEngine reused;
+  MachineState warmup(1024);
+  (void)reused.run(naive_daxpy_program(256), warmup);
+  MachineState a(1024);
+  const MorphingStats sa = reused.run(naive_stencil_program(256), a);
+  MorphingEngine fresh;
+  MachineState b(1024);
+  const MorphingStats sb = fresh.run(naive_stencil_program(256), b);
+  expect_same_stats(sa, sb);
+  EXPECT_EQ(sa.translations, 1u);
+  EXPECT_TRUE(same_state(a, b));
+}
+
+TEST(MorphingEngine, EqualProgramCopyStaysWarm) {
+  // A distinct but equal Program object (and the optimizer's fresh copy on
+  // every run) reuses the warm cache.
+  MorphingEngine engine;
+  MachineState st1 = daxpy_state(500);
+  EXPECT_GE(engine.run(daxpy_program(500), st1).translations, 1u);
+  const Program copy = daxpy_program(500);
+  MachineState st2 = daxpy_state(500);
+  EXPECT_EQ(engine.run(copy, st2).translations, 0u);
+
+  MorphingConfig cfg;
+  cfg.opt_level = 2;
+  cfg.optimizer = opt::engine_optimizer();
+  MorphingEngine optimizing(cfg);
+  MachineState st3(1024);
+  EXPECT_GE(optimizing.run(naive_daxpy_program(256), st3).translations, 1u);
+  MachineState st4(1024);
+  EXPECT_EQ(optimizing.run(naive_daxpy_program(256), st4).translations, 0u);
+  EXPECT_TRUE(same_state(st3, st4));
+}
+
+TEST(MorphingEngine, PinnedCacheThrashAtEveryTier) {
+  // Undersized caches, so eviction and retranslation run: many_blocks
+  // overflows cyclically (LRU then never hits), branchy mixes hits with
+  // evictions. Values are the engine's accounting as of the hash-map
+  // dispatch implementation; tier-3 must replay tier-2's exactly.
+  struct Expect {
+    std::uint64_t total_cycles, translations, retranslations, evictions,
+        hits;
+  };
+  struct Case {
+    const char* name;
+    Program prog;
+    std::size_t mem, cache_molecules;
+    std::uint64_t hot_threshold;
+    Expect interp[2], native[2];  // cold run, warm run
+  };
+  const Case cases[] = {
+      {"many_blocks_40x50",
+       many_blocks_program(40, 50),
+       64,
+       64,
+       8,
+       {{111364, 0, 0, 0, 0}, {111364, 0, 0, 0, 0}},
+       {{6297172, 1763, 1722, 1747, 0}, {7304164, 2050, 2050, 2050, 0}}},
+      {"branchy_2000",
+       branchy_program(2000),
+       16,
+       8,
+       2,
+       {{201077, 0, 0, 0, 0}, {201077, 0, 0, 0, 0}},
+       {{11707460, 2998, 2994, 2995, 1997},
+        {11725203, 3003, 3001, 3002, 1998}}},
+  };
+  for (const Case& c : cases) {
+    for (int tier = 1; tier <= 3; ++tier) {
+      MorphingConfig cfg;
+      cfg.cache_molecules = c.cache_molecules;
+      cfg.hot_threshold = tier == 1 ? std::numeric_limits<std::uint64_t>::max()
+                                    : c.hot_threshold;
+      if (tier == 3) {
+        jit::attach_jit(cfg);
+        cfg.optimizer = nullptr;
+        cfg.prover = nullptr;
+      }
+      MorphingEngine engine(cfg);
+      for (int run = 0; run < 2; ++run) {
+        SCOPED_TRACE(std::string(c.name) + " tier " + std::to_string(tier) +
+                     " run " + std::to_string(run));
+        MachineState st(c.mem);
+        const MorphingStats s = engine.run(c.prog, st);
+        const Expect& e = tier == 1 ? c.interp[run] : c.native[run];
+        EXPECT_EQ(s.total_cycles, e.total_cycles);
+        EXPECT_EQ(s.translations, e.translations);
+        EXPECT_EQ(s.retranslations, e.retranslations);
+        EXPECT_EQ(s.cache_evictions, e.evictions);
+        EXPECT_EQ(s.cache_hits, e.hits);
+      }
+    }
+  }
+}
+
+TEST(MorphingEngine, ConcurrentEnginesMatchSerialRuns) {
+  // Each engine's translator works in per-thread scratch; two engines
+  // translating on two threads at once must account exactly as serially,
+  // and a Translator shared by both threads must produce identical
+  // schedules.
+  struct Job {
+    Program prog;
+    std::size_t mem;
+    MorphingConfig cfg;
+  };
+  MorphingConfig thrash;
+  thrash.cache_molecules = 64;
+  MorphingConfig tiny;
+  tiny.cache_molecules = 8;
+  tiny.hot_threshold = 2;
+  const Job jobs[2] = {{many_blocks_program(40, 50), 64, thrash},
+                       {branchy_program(2000), 16, tiny}};
+  MorphingStats serial[2][2];
+  MachineState serial_state[2] = {MachineState(64), MachineState(16)};
+  for (int j = 0; j < 2; ++j) {
+    MorphingEngine engine(jobs[j].cfg);
+    for (int run = 0; run < 2; ++run) {
+      serial_state[j] = MachineState(jobs[j].mem);
+      serial[j][run] = engine.run(jobs[j].prog, serial_state[j]);
+    }
+  }
+  const Translator shared;
+  const Program blocks = many_blocks_program(300, 1);
+  std::vector<std::size_t> leaders;
+  for (std::size_t pc = 0; pc < blocks.size(); pc = block_end(blocks, pc)) {
+    leaders.push_back(pc);
+  }
+  std::vector<Translation> reference;
+  for (const std::size_t pc : leaders) {
+    reference.push_back(shared.translate(blocks, pc));
+  }
+
+  MorphingStats threaded[2][2];
+  MachineState threaded_state[2] = {MachineState(64), MachineState(16)};
+  bool schedules_match[2] = {true, true};
+  {
+    std::vector<std::jthread> pool;
+    for (int j = 0; j < 2; ++j) {
+      pool.emplace_back([&, j] {
+        MorphingEngine engine(jobs[j].cfg);
+        for (int run = 0; run < 2; ++run) {
+          threaded_state[j] = MachineState(jobs[j].mem);
+          threaded[j][run] = engine.run(jobs[j].prog, threaded_state[j]);
+          for (std::size_t i = 0; i < leaders.size(); ++i) {
+            const Translation t = shared.translate(blocks, leaders[i]);
+            const Translation& r = reference[i];
+            bool same = t.entry_pc == r.entry_pc &&
+                        t.instr_count == r.instr_count &&
+                        t.molecules.size() == r.molecules.size();
+            for (std::size_t m = 0; same && m < t.molecules.size(); ++m) {
+              same = t.molecules[m].atoms == r.molecules[m].atoms &&
+                     t.molecules[m].stall == r.molecules[m].stall &&
+                     t.molecules[m].atom_pc == r.molecules[m].atom_pc;
+            }
+            schedules_match[j] = schedules_match[j] && same;
+          }
+        }
+      });
+    }
+  }
+  for (int j = 0; j < 2; ++j) {
+    SCOPED_TRACE("job " + std::to_string(j));
+    expect_same_stats(serial[j][0], threaded[j][0]);
+    expect_same_stats(serial[j][1], threaded[j][1]);
+    EXPECT_TRUE(same_state(serial_state[j], threaded_state[j]));
+    EXPECT_TRUE(schedules_match[j]);
+  }
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ TEST(Isa, ExecIntOps) {
   add.a = 2;
   add.b = 1;
   add.c = 1;
-  exec_instr(add, 1, st);
+  EXPECT_EQ(exec_instr(add, 1, st), 2u);
   EXPECT_EQ(st.r[2], 14);
 
   Instr sub;
@@ -30,7 +30,7 @@ TEST(Isa, ExecIntOps) {
   sub.a = 3;
   sub.b = 2;
   sub.c = 1;
-  exec_instr(sub, 2, st);
+  EXPECT_EQ(exec_instr(sub, 2, st), 3u);
   EXPECT_EQ(st.r[3], 7);
 
   Instr muli;
@@ -38,7 +38,7 @@ TEST(Isa, ExecIntOps) {
   muli.a = 4;
   muli.b = 3;
   muli.imm_i = 6;
-  exec_instr(muli, 3, st);
+  EXPECT_EQ(exec_instr(muli, 3, st), 4u);
   EXPECT_EQ(st.r[4], 42);
 }
 
@@ -50,14 +50,14 @@ TEST(Isa, ExecFpAndMemory) {
   ld.a = 1;
   ld.b = 0;
   ld.imm_i = 5;
-  exec_instr(ld, 0, st);
+  EXPECT_EQ(exec_instr(ld, 0, st), 1u);
   EXPECT_DOUBLE_EQ(st.f[1], 9.0);
 
   Instr sq;
   sq.op = Op::kFsqrt;
   sq.a = 2;
   sq.b = 1;
-  exec_instr(sq, 1, st);
+  EXPECT_EQ(exec_instr(sq, 1, st), 2u);
   EXPECT_DOUBLE_EQ(st.f[2], 3.0);
 
   Instr div;
@@ -65,7 +65,7 @@ TEST(Isa, ExecFpAndMemory) {
   div.a = 3;
   div.b = 1;
   div.c = 2;
-  exec_instr(div, 2, st);
+  EXPECT_EQ(exec_instr(div, 2, st), 3u);
   EXPECT_DOUBLE_EQ(st.f[3], 3.0);
 
   Instr stx;
@@ -73,7 +73,7 @@ TEST(Isa, ExecFpAndMemory) {
   stx.a = 3;
   stx.b = 0;
   stx.imm_i = 6;
-  exec_instr(stx, 3, st);
+  EXPECT_EQ(exec_instr(stx, 3, st), 4u);
   EXPECT_DOUBLE_EQ(st.mem[6], 3.0);
 }
 
@@ -104,9 +104,9 @@ TEST(Isa, OutOfBoundsMemoryThrows) {
   ld.a = 0;
   ld.b = 0;
   ld.imm_i = 99;
-  EXPECT_THROW(exec_instr(ld, 0, st), PreconditionError);
+  EXPECT_THROW((void)exec_instr(ld, 0, st), PreconditionError);
   ld.imm_i = -1;
-  EXPECT_THROW(exec_instr(ld, 0, st), PreconditionError);
+  EXPECT_THROW((void)exec_instr(ld, 0, st), PreconditionError);
 }
 
 TEST(Isa, UnitClassesMatchSection21) {

@@ -44,9 +44,9 @@ TEST(FitLine, RecoversExactLine) {
 TEST(FitLine, RejectsMismatchedOrDegenerateInput) {
   const std::array<double, 2> xs = {1.0, 1.0};
   const std::array<double, 2> ys = {2.0, 3.0};
-  EXPECT_THROW(fit_line(xs, ys), PreconditionError);  // identical x
+  EXPECT_THROW((void)fit_line(xs, ys), PreconditionError);  // identical x
   const std::array<double, 1> one = {1.0};
-  EXPECT_THROW(fit_line(one, one), PreconditionError);  // too short
+  EXPECT_THROW((void)fit_line(one, one), PreconditionError);  // too short
 }
 
 TEST(RelDiff, Basics) {

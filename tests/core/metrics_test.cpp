@@ -78,10 +78,10 @@ TEST(Metrics, EvaluateIsSelfConsistent) {
 }
 
 TEST(Metrics, RejectDegenerateInputs) {
-  EXPECT_THROW(performance_per_space(1.0, SquareFeet(0.0)),
+  EXPECT_THROW((void)performance_per_space(1.0, SquareFeet(0.0)),
                PreconditionError);
-  EXPECT_THROW(performance_per_power(1.0, Watts(0.0)), PreconditionError);
-  EXPECT_THROW(topper(Tco{}, 0.0), PreconditionError);
+  EXPECT_THROW((void)performance_per_power(1.0, Watts(0.0)), PreconditionError);
+  EXPECT_THROW((void)topper(Tco{}, 0.0), PreconditionError);
 }
 
 }  // namespace

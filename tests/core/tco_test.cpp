@@ -113,7 +113,7 @@ TEST(Tco, ScalesWithOperatingPeriod) {
 TEST(Tco, RejectsEmptyCluster) {
   ClusterSpec c;
   c.nodes = 0;
-  EXPECT_THROW(compute_tco(c, CostContext{}), PreconditionError);
+  EXPECT_THROW((void)compute_tco(c, CostContext{}), PreconditionError);
 }
 
 }  // namespace

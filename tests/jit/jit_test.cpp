@@ -315,6 +315,21 @@ TEST(JitTier, ProgramChangeFlushesCompiledRegions) {
   EXPECT_TRUE(same_state(sb, sb2));
 }
 
+TEST(JitTier, MemorySizeChangeFlushesCompiledRegions) {
+  // Regions drop bounds checks on licenses proved for one memory size, so
+  // a run under another size must not reuse them: it recompiles when the
+  // program still fits, and faults architecturally when it does not.
+  cms::MorphingEngine engine{tier3_config()};
+  const Program prog = cms::naive_daxpy_program(64);  // needs 129 doubles
+  cms::MachineState big(4096);
+  EXPECT_GT(engine.run(prog, big).jit_regions, 0u);
+  cms::MachineState fits(256);
+  const cms::MorphingStats r = engine.run(prog, fits);
+  EXPECT_GT(r.jit_regions, 0u);
+  cms::MachineState small(64);
+  EXPECT_THROW((void)engine.run(prog, small), PreconditionError);
+}
+
 TEST(TranslationCacheReplay, PeekDoesNotPerturbAccounting) {
   cms::TranslationCache cache(1 << 12);
   cms::Translator translator;

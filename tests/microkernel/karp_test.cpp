@@ -62,12 +62,12 @@ TEST(KarpRsqrt, SubnormalInputs) {
 }
 
 TEST(KarpRsqrt, RejectsNonPositiveAndNonFinite) {
-  EXPECT_THROW(karp_rsqrt(0.0), PreconditionError);
-  EXPECT_THROW(karp_rsqrt(-1.0), PreconditionError);
-  EXPECT_THROW(karp_rsqrt(std::numeric_limits<double>::infinity()),
+  EXPECT_THROW((void)karp_rsqrt(0.0), PreconditionError);
+  EXPECT_THROW((void)karp_rsqrt(-1.0), PreconditionError);
+  EXPECT_THROW((void)karp_rsqrt(std::numeric_limits<double>::infinity()),
                PreconditionError);
-  EXPECT_THROW(karp_rsqrt(std::nan("")), PreconditionError);
-  EXPECT_THROW(karp_rsqrt(1.0, -1), PreconditionError);
+  EXPECT_THROW((void)karp_rsqrt(std::nan("")), PreconditionError);
+  EXPECT_THROW((void)karp_rsqrt(1.0, -1), PreconditionError);
 }
 
 TEST(KarpRsqrt, MonotoneDecreasingOnSamples) {

@@ -57,7 +57,7 @@ TEST(Microkernel, ProfileMatchesMeasuredRun) {
 }
 
 TEST(Microkernel, RejectsBadIterationCount) {
-  EXPECT_THROW(run_microkernel(SqrtImpl::kLibm, 0), PreconditionError);
+  EXPECT_THROW((void)run_microkernel(SqrtImpl::kLibm, 0), PreconditionError);
   EXPECT_THROW(microkernel_profile(SqrtImpl::kKarp, true, -5),
                PreconditionError);
 }

@@ -80,8 +80,8 @@ TEST(Bt, OpsScaleWithGridAndIterations) {
 }
 
 TEST(Bt, RejectsBadArguments) {
-  EXPECT_THROW(run_bt(1, 1), PreconditionError);
-  EXPECT_THROW(run_bt(8, 0), PreconditionError);
+  EXPECT_THROW((void)run_bt(1, 1), PreconditionError);
+  EXPECT_THROW((void)run_bt(8, 0), PreconditionError);
 }
 
 TEST(Penta, SolvesManufacturedSystem) {
@@ -128,8 +128,8 @@ TEST(Sp, AllSystemsVerify) {
 }
 
 TEST(Sp, RejectsBadArguments) {
-  EXPECT_THROW(run_sp(2, 1), PreconditionError);
-  EXPECT_THROW(run_sp(8, 0), PreconditionError);
+  EXPECT_THROW((void)run_sp(2, 1), PreconditionError);
+  EXPECT_THROW((void)run_sp(8, 0), PreconditionError);
 }
 
 TEST(Lu, SsorConvergesMonotonically) {

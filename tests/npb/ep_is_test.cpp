@@ -61,8 +61,8 @@ TEST(Ep, OpCountsScaleWithClass) {
 }
 
 TEST(Ep, RejectsSillyClassSize) {
-  EXPECT_THROW(run_ep(2), PreconditionError);
-  EXPECT_THROW(run_ep(40), PreconditionError);
+  EXPECT_THROW((void)run_ep(2), PreconditionError);
+  EXPECT_THROW((void)run_ep(40), PreconditionError);
 }
 
 TEST(Is, RanksProduceSortedPermutation) {
@@ -108,9 +108,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, IsSizeSweep,
                                            std::pair{16, 4}));
 
 TEST(Is, RejectsBadParameters) {
-  EXPECT_THROW(run_is(2, 5), PreconditionError);
-  EXPECT_THROW(run_is(16, 1), PreconditionError);
-  EXPECT_THROW(run_is(16, 11, 0), PreconditionError);
+  EXPECT_THROW((void)run_is(2, 5), PreconditionError);
+  EXPECT_THROW((void)run_is(16, 1), PreconditionError);
+  EXPECT_THROW((void)run_is(16, 11, 0), PreconditionError);
 }
 
 }  // namespace

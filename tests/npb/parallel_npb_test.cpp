@@ -61,8 +61,8 @@ TEST(ParallelEp, CommunicationIsTiny) {
 TEST(ParallelEp, RejectsBadConfig) {
   ParallelNpbConfig c = cfg(4);
   c.cpu = nullptr;
-  EXPECT_THROW(run_parallel_ep(c, 16), PreconditionError);
-  EXPECT_THROW(run_parallel_ep(cfg(4), 2), PreconditionError);
+  EXPECT_THROW((void)run_parallel_ep(c, 16), PreconditionError);
+  EXPECT_THROW((void)run_parallel_ep(cfg(4), 2), PreconditionError);
 }
 
 TEST(ParallelIs, GloballySortedPermutation) {
@@ -156,15 +156,15 @@ TEST(ParallelStencil, NearestNeighborBeatsAllgatherScaling) {
 }
 
 TEST(ParallelStencil, RejectsBadConfig) {
-  EXPECT_THROW(run_parallel_stencil(cfg(4), 2, 1), PreconditionError);
-  EXPECT_THROW(run_parallel_stencil(cfg(8), 16, 0), PreconditionError);
-  EXPECT_THROW(run_parallel_stencil(cfg(32), 16, 1), PreconditionError);
+  EXPECT_THROW((void)run_parallel_stencil(cfg(4), 2, 1), PreconditionError);
+  EXPECT_THROW((void)run_parallel_stencil(cfg(8), 16, 0), PreconditionError);
+  EXPECT_THROW((void)run_parallel_stencil(cfg(32), 16, 1), PreconditionError);
 }
 
 TEST(ParallelIs, RejectsBadConfig) {
-  EXPECT_THROW(run_parallel_is(cfg(4), 2, 8), PreconditionError);
-  EXPECT_THROW(run_parallel_is(cfg(4), 12, 1), PreconditionError);
-  EXPECT_THROW(run_parallel_is(cfg(4), 12, 8, 0), PreconditionError);
+  EXPECT_THROW((void)run_parallel_is(cfg(4), 2, 8), PreconditionError);
+  EXPECT_THROW((void)run_parallel_is(cfg(4), 12, 1), PreconditionError);
+  EXPECT_THROW((void)run_parallel_is(cfg(4), 12, 8, 0), PreconditionError);
 }
 
 }  // namespace

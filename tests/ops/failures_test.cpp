@@ -135,7 +135,7 @@ TEST(OpsMonteCarlo, RejectsBadArguments) {
   OperationsConfig cfg = traditional_ops();
   cfg.nodes = 0;
   Rng rng(1);
-  EXPECT_THROW(simulate_once(cfg, rng), PreconditionError);
+  EXPECT_THROW((void)simulate_once(cfg, rng), PreconditionError);
   EXPECT_THROW(simulate(traditional_ops(), 0, 1), PreconditionError);
 }
 

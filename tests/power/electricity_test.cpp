@@ -35,9 +35,9 @@ TEST(Electricity, ZeroYearsCostsNothing) {
 }
 
 TEST(Electricity, RejectsNegativeInputs) {
-  EXPECT_THROW(electricity_cost(Watts(1.0), -1.0, UtilityRate{}),
+  EXPECT_THROW((void)electricity_cost(Watts(1.0), -1.0, UtilityRate{}),
                PreconditionError);
-  EXPECT_THROW(electricity_cost(Watts(1.0), 1.0, UtilityRate{-0.1}),
+  EXPECT_THROW((void)electricity_cost(Watts(1.0), 1.0, UtilityRate{-0.1}),
                PreconditionError);
 }
 

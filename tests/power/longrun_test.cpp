@@ -104,8 +104,8 @@ TEST(LongRun, ImpossibleDeadlineThrows) {
   const auto& cpu = arch::tm5600_633();
   const arch::KernelProfile p = work();
   const double top_time = energy_to_solution(cpu, l, p, l.top()).seconds;
-  EXPECT_THROW(pick_state(cpu, l, p, 0.5 * top_time), SimulationError);
-  EXPECT_THROW(energy_over_period(cpu, l, p, l.bottom(), 0.0),
+  EXPECT_THROW((void)pick_state(cpu, l, p, 0.5 * top_time), SimulationError);
+  EXPECT_THROW((void)energy_over_period(cpu, l, p, l.bottom(), 0.0),
                PreconditionError);
 }
 

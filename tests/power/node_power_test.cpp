@@ -59,7 +59,7 @@ TEST(ClusterPower, PassiveCoolingAddsNothing) {
 }
 
 TEST(ClusterPower, RejectsNonPositiveNodeCount) {
-  EXPECT_THROW(cluster_power(NodeComponents{}, 0, Watts(0.0), Cooling::kNone),
+  EXPECT_THROW((void)cluster_power(NodeComponents{}, 0, Watts(0.0), Cooling::kNone),
                PreconditionError);
 }
 

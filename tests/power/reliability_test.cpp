@@ -94,8 +94,8 @@ TEST(Downtime, ExtremeFailureRateClampsAvailabilityAtZero) {
 
 TEST(Reliability, RejectsBadArguments) {
   ReliabilityModel m;
-  EXPECT_THROW(m.expected_failures(0, 1.0, Celsius(25.0)), PreconditionError);
-  EXPECT_THROW(m.expected_failures(1, -1.0, Celsius(25.0)),
+  EXPECT_THROW((void)m.expected_failures(0, 1.0, Celsius(25.0)), PreconditionError);
+  EXPECT_THROW((void)m.expected_failures(1, -1.0, Celsius(25.0)),
                PreconditionError);
 }
 

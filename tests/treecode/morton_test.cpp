@@ -48,8 +48,8 @@ TEST(Morton, OctantExtraction) {
   box.extent = 1.0;
   const auto key = morton_key(0.75, 0.25, 0.25, box);
   EXPECT_EQ(morton_octant(key, 0) & 1, 1);
-  EXPECT_THROW(morton_octant(key, kMortonBitsPerDim), PreconditionError);
-  EXPECT_THROW(morton_octant(key, -1), PreconditionError);
+  EXPECT_THROW((void)morton_octant(key, kMortonBitsPerDim), PreconditionError);
+  EXPECT_THROW((void)morton_octant(key, -1), PreconditionError);
 }
 
 TEST(BoundingBoxTest, ContainsAllParticlesAndIsCubic) {
