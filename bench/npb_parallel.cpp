@@ -9,16 +9,11 @@
 /// the host (results are bit-identical; only host wall-clock changes); with
 /// BLADED_BENCH_JSON set, each configuration is also emitted as a
 /// bladed-bench-v1 record for scripts/bench.sh / the CI regression gate.
-/// `--jit` appends the per-node hot-loop tier comparison (tier-2 dispatch
-/// fast path vs the tier-3 JIT on the stencil's CMS kernel) that every
-/// simulated rank's compute inherits.
 
 #include <vector>
 
 #include "arch/registry.hpp"
 #include "bench/bench_util.hpp"
-#include "bench/jit_tier.hpp"
-#include "cms/programs.hpp"
 #include "hostperf/benchjson.hpp"
 #include "npb/parallel.hpp"
 #include "tools/cli.hpp"
@@ -27,13 +22,10 @@ int main(int argc, char** argv) {
   using namespace bladed;
   int host_threads = 1;
   bool quick = false;
-  bool jit = false;
-  cli::Parser parser(
-      "npb_parallel",
-      "usage: npb_parallel [--host-threads N] [--quick] [--jit]\n");
+  cli::Parser parser("npb_parallel",
+                     "usage: npb_parallel [--host-threads N] [--quick]\n");
   parser.int_value("--host-threads", &host_threads, 1, 64)
-      .flag("--quick", &quick)
-      .flag("--jit", &jit);
+      .flag("--quick", &quick);
   if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
 
   bench::print_header("Parallel NPB", "EP and IS on the 24-blade MetaBlade");
@@ -122,20 +114,6 @@ int main(int argc, char** argv) {
     std::printf("Stencil relaxation, %d^3 grid, 20 sweeps (MG's halo "
                 "pattern; results bitwise-identical at every rank count)\n",
                 stencil_n);
-    bench::print_table(t);
-  }
-
-  if (jit && jit::env_enabled(true)) {
-    // Per-node hot loop: the MG-shaped stencil kernel on the CMS engine —
-    // the compute every simulated rank above repeats between halo exchanges.
-    TablePrinter t({"Program", "Tier-2 s", "Tier-3 s", "Speedup",
-                    "Cycles equal"});
-    if (!bench::jit_tier_compare("naive_mg_stencil_n256",
-                                 cms::naive_stencil_program(256), 258,
-                                 quick ? 50 : 400, t, report)) {
-      return 1;
-    }
-    std::printf("Per-node hot loop, tier-2 vs tier-3 JIT (--jit)\n");
     bench::print_table(t);
   }
 

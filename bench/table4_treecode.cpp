@@ -9,14 +9,10 @@
 /// the host (results are bit-identical; only host wall-clock changes);
 /// `--quick` shrinks the problem for the CI bench gate. With
 /// BLADED_BENCH_JSON set, each modelled run is emitted as a bladed-bench-v1
-/// record. `--jit` appends the per-node hot-loop tier comparison (tier-2
-/// dispatch fast path vs the tier-3 JIT on a daxpy-shaped CMS kernel, the
-/// force-accumulation inner-loop shape).
+/// record.
 
 #include "arch/registry.hpp"
 #include "bench/bench_util.hpp"
-#include "bench/jit_tier.hpp"
-#include "cms/programs.hpp"
 #include "core/presets.hpp"
 #include "hostperf/benchjson.hpp"
 #include "tools/cli.hpp"
@@ -52,13 +48,10 @@ double modelled_gflops(const arch::ProcessorModel& cpu, const char* name,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool jit = false;
-  cli::Parser parser(
-      "table4_treecode",
-      "usage: table4_treecode [--host-threads N] [--quick] [--jit]\n");
+  cli::Parser parser("table4_treecode",
+                     "usage: table4_treecode [--host-threads N] [--quick]\n");
   parser.int_value("--host-threads", &g_host_threads, 1, 64)
-      .flag("--quick", &quick)
-      .flag("--jit", &jit);
+      .flag("--quick", &quick);
   if (const int rc = parser.parse(argc, argv); rc >= 0) return rc;
   if (quick) g_particles = 24000;
 
@@ -90,20 +83,6 @@ int main(int argc, char** argv) {
   std::printf("MetaBlade2 modelled: %.2f Gflops (paper measured: 3.3)\n", mb2);
   std::printf("MetaBlade2/MetaBlade: %.2f (paper: ~1.57, \"about 50%% better\")\n\n",
               mb2 / mb);
-
-  if (jit && jit::env_enabled(true)) {
-    // Per-node hot loop: the daxpy-shaped kernel on the CMS engine — the
-    // multiply-accumulate shape of the treecode's force-accumulation loop.
-    TablePrinter t({"Program", "Tier-2 s", "Tier-3 s", "Speedup",
-                    "Cycles equal"});
-    if (!bench::jit_tier_compare("naive_daxpy_n256",
-                                 cms::naive_daxpy_program(256), 258,
-                                 quick ? 50 : 400, t, report)) {
-      return 1;
-    }
-    std::printf("Per-node hot loop, tier-2 vs tier-3 JIT (--jit)\n");
-    bench::print_table(t);
-  }
 
   bench::print_note(
       "prose targets: MetaBlade2 places behind only the Origin 2000; the "

@@ -1,7 +1,8 @@
 #include "commcheck/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "common/json_string.hpp"
 
 namespace bladed::commcheck {
 
@@ -41,30 +42,6 @@ std::string Verdict::to_string() const {
   return out;
 }
 
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string Verdict::to_json() const {
   std::string out = "{\"clean\":";
   out += findings_.empty() ? "true" : "false";
@@ -72,12 +49,12 @@ std::string Verdict::to_json() const {
   for (std::size_t i = 0; i < findings_.size(); ++i) {
     const Finding& f = findings_[i];
     if (i) out += ',';
-    out += "{\"code\":\"" + json_escape(f.code) + "\",\"ranks\":[";
+    out += "{\"code\":" + json_string(f.code) + ",\"ranks\":[";
     for (std::size_t j = 0; j < f.ranks.size(); ++j) {
       if (j) out += ',';
       out += std::to_string(f.ranks[j]);
     }
-    out += "],\"message\":\"" + json_escape(f.message) + "\"}";
+    out += "],\"message\":" + json_string(f.message) + "}";
   }
   out += "]}";
   return out;

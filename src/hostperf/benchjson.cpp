@@ -4,33 +4,11 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/json_string.hpp"
+
 namespace bladed::hostperf {
 
 namespace {
-/// Bench and result names are identifiers chosen in this repo, but escape
-/// the JSON-special characters anyway so the output is always well-formed.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_number(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -59,18 +37,18 @@ void BenchReport::add(BenchResult r) {
 
 void BenchReport::write() {
   if (!active() || written_ || results_.empty()) return;
-  std::string doc = "{\"schema\":\"bladed-bench-v1\",\"bench\":\"";
-  doc += json_escape(bench_);
-  doc += "\",\"host_threads\":";
+  std::string doc = "{\"schema\":\"bladed-bench-v1\",\"bench\":";
+  append_json_string(doc, bench_);
+  doc += ",\"host_threads\":";
   doc += std::to_string(host_threads_);
   doc += ",\"results\":[";
   bool first = true;
   for (const BenchResult& r : results_) {
     if (!first) doc += ',';
     first = false;
-    doc += "{\"name\":\"";
-    doc += json_escape(r.name);
-    doc += "\",\"wall_seconds\":";
+    doc += "{\"name\":";
+    append_json_string(doc, r.name);
+    doc += ",\"wall_seconds\":";
     append_number(doc, r.wall_seconds);
     doc += ",\"virtual_seconds\":";
     append_number(doc, r.virtual_seconds);

@@ -1,7 +1,5 @@
 #include "jit/jit.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -75,13 +73,6 @@ void attach_certified_budgets(cms::MorphingConfig& cfg) {
     const auto b = it->second.find(entry_pc);
     return b == it->second.end() ? fallback : b->second;
   };
-}
-
-bool env_enabled(bool default_on) {
-  const char* value = std::getenv("BLADED_JIT");
-  if (value == nullptr || *value == '\0') return default_on;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
 }
 
 LowerReport lower_dry_run(const cms::Program& prog, std::size_t mem_doubles) {

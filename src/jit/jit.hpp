@@ -13,7 +13,6 @@
 ///   attach_jit           — wire a MorphingConfig for tier-3: compiler hook
 ///                          plus (when unset) the verified opt pipeline and
 ///                          the prove-backed license gate
-///   env_enabled          — honor the BLADED_JIT environment toggle
 ///   lower_dry_run        — plan every licensed region without executing
 ///                          (the `bladed-lint --jit` report)
 ///
@@ -46,10 +45,6 @@ namespace bladed::jit {
 /// pipeline (bladed::opt) and the prove-backed license gate
 /// (prove::engine_prover) that refuse unlicensed hot regions.
 void attach_jit(cms::MorphingConfig& cfg);
-
-/// The BLADED_JIT environment toggle: "0", "off" or "false" disable, any
-/// other non-empty value enables, unset returns `default_on`.
-[[nodiscard]] bool env_enabled(bool default_on);
 
 /// Certified promotion budgets: replaces the raw-execution-count promotion
 /// rule with bladed::wcet's certified per-entry dispatch bounds. An entry

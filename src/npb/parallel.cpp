@@ -1,14 +1,19 @@
 #include "npb/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "arch/cost_model.hpp"
 #include "common/error.hpp"
 #include "common/npb_rand.hpp"
 #include "common/rng.hpp"
+#include "fault/checkpoint.hpp"
 #include "simnet/comm.hpp"
 
 namespace bladed::npb {
@@ -42,99 +47,126 @@ void add_counts(std::uint32_t* __restrict acc,
   }
 }
 
-}  // namespace
+/// This rank's contiguous block [first, last) of `total` items.
+std::pair<std::uint64_t, std::uint64_t> block_of(std::uint64_t total,
+                                                 const simnet::Comm& comm) {
+  const auto r = static_cast<std::uint64_t>(comm.rank());
+  const auto n = static_cast<std::uint64_t>(comm.size());
+  return {total * r / n, total * (r + 1) / n};
+}
 
-ParallelEpResult run_parallel_ep(const ParallelNpbConfig& cfg, int m,
-                                 std::uint64_t seed) {
-  BLADED_REQUIRE_MSG(cfg.cpu != nullptr, "config.cpu is required");
-  BLADED_REQUIRE(cfg.ranks >= 1);
-  BLADED_REQUIRE(m >= 4 && m <= 32);
-  const std::uint64_t total_pairs = std::uint64_t{1} << m;
-
-  simnet::Cluster cluster(
-      {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
-       .host_threads = cfg.host_threads});
-  std::vector<EpResult> locals(cfg.ranks);
-  ParallelEpResult res;
-
-  cluster.run([&](simnet::Comm& comm) {
-    const int r = comm.rank();
-    const auto n = static_cast<std::uint64_t>(comm.size());
-    const std::uint64_t first = total_pairs * static_cast<std::uint64_t>(r) / n;
-    const std::uint64_t last =
-        total_pairs * static_cast<std::uint64_t>(r + 1) / n;
-
-    EpResult local = run_ep_block(first, last - first, seed);
-    comm.compute(arch::estimate_seconds(*cfg.cpu, ep_chars(local.ops)));
-
-    // Combine: sums by fp allreduce, annulus counts elementwise.
-    local.sx = comm.allreduce(local.sx, std::plus<double>{});
-    local.sy = comm.allreduce(local.sy, std::plus<double>{});
-    std::vector<std::uint64_t> q(local.q.begin(), local.q.end());
-    q = comm.allreduce_vec(std::move(q), std::plus<std::uint64_t>{});
-    std::copy(q.begin(), q.end(), local.q.begin());
-    local.accepted =
-        comm.allreduce(local.accepted, std::plus<std::uint64_t>{});
-    local.pairs = comm.allreduce(local.pairs, std::plus<std::uint64_t>{});
-    locals[r] = std::move(local);
-  });
-
-  res.global = locals[0];
-  res.global.ops = OpCounter{};
-  for (const EpResult& l : locals) res.global.ops += l.ops;
+/// The timing and traffic fields every parallel result reports.
+template <class Result>
+void set_costs(Result& res, const simnet::Cluster& cluster) {
   res.elapsed_seconds = cluster.elapsed_seconds();
-  for (int r = 0; r < cfg.ranks; ++r) {
+  for (int r = 0; r < cluster.ranks(); ++r) {
     res.compute_seconds =
         std::max(res.compute_seconds, cluster.stats(r).compute_seconds);
   }
   res.bytes = cluster.total_bytes();
   res.messages = cluster.total_messages();
-  return res;
 }
 
-ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
-                                 int bmax_log2, int iterations,
-                                 std::uint64_t seed) {
+/// One EP run: 2^m pairs, each rank's block processed in `batches` chunks.
+struct EpRun {
+  const arch::ProcessorModel& cpu;
+  std::uint64_t pairs;
+  std::uint64_t seed;
+  int batches;
+  std::vector<EpResult> locals;  ///< per rank, after the combine
+
+  /// One rank's program: chunks [start, batches) added onto the partial
+  /// sums `acc`, with after_batch(done, acc) between chunks, then the
+  /// allreduce combine.
+  template <class AfterBatch>
+  void rank(simnet::Comm& comm, int start, EpResult acc,
+            AfterBatch&& after_batch) {
+    const auto [first, last] = block_of(pairs, comm);
+    const auto nb = static_cast<std::uint64_t>(batches);
+    for (int b = start; b < batches; ++b) {
+      const std::uint64_t b0 =
+          first + (last - first) * static_cast<std::uint64_t>(b) / nb;
+      const std::uint64_t b1 =
+          first + (last - first) * (static_cast<std::uint64_t>(b) + 1) / nb;
+      const EpResult part = run_ep_block(b0, b1 - b0, seed);
+      comm.compute(arch::estimate_seconds(cpu, ep_chars(part.ops)));
+      acc.sx += part.sx;
+      acc.sy += part.sy;
+      for (std::size_t i = 0; i < acc.q.size(); ++i) acc.q[i] += part.q[i];
+      acc.pairs += part.pairs;
+      acc.accepted += part.accepted;
+      acc.ops += part.ops;
+      if (b + 1 < batches) after_batch(b + 1, acc);
+    }
+
+    // Combine: sums by fp allreduce, annulus counts elementwise.
+    acc.sx = comm.allreduce(acc.sx, std::plus<double>{});
+    acc.sy = comm.allreduce(acc.sy, std::plus<double>{});
+    std::vector<std::uint64_t> q(acc.q.begin(), acc.q.end());
+    q = comm.allreduce_vec(std::move(q), std::plus<std::uint64_t>{});
+    std::copy(q.begin(), q.end(), acc.q.begin());
+    acc.accepted = comm.allreduce(acc.accepted, std::plus<std::uint64_t>{});
+    acc.pairs = comm.allreduce(acc.pairs, std::plus<std::uint64_t>{});
+    locals[static_cast<std::size_t>(comm.rank())] = acc;
+  }
+
+  [[nodiscard]] ParallelEpResult result(const simnet::Cluster& cluster) const {
+    ParallelEpResult res;
+    res.global = locals[0];
+    res.global.ops = OpCounter{};
+    for (const EpResult& l : locals) res.global.ops += l.ops;
+    set_costs(res, cluster);
+    return res;
+  }
+};
+
+EpRun ep_run(const ParallelNpbConfig& cfg, int m, std::uint64_t seed,
+             int batches) {
   BLADED_REQUIRE_MSG(cfg.cpu != nullptr, "config.cpu is required");
   BLADED_REQUIRE(cfg.ranks >= 1);
-  BLADED_REQUIRE(n_log2 >= 4 && n_log2 <= 26);
-  BLADED_REQUIRE(bmax_log2 >= 3 && bmax_log2 <= 24);
-  BLADED_REQUIRE(iterations >= 1);
+  BLADED_REQUIRE(m >= 4 && m <= 32);
+  BLADED_REQUIRE(batches >= 1);
+  return {*cfg.cpu, std::uint64_t{1} << m, seed, batches,
+          std::vector<EpResult>(static_cast<std::size_t>(cfg.ranks))};
+}
 
-  const std::uint64_t n = std::uint64_t{1} << n_log2;
-  const std::uint64_t bmax = std::uint64_t{1} << bmax_log2;
+/// One IS run: 2^n_log2 keys in [0, bmax), ranked `iterations` times.
+struct IsRun {
+  const arch::ProcessorModel& cpu;
+  std::uint64_t n;
+  std::uint64_t bmax;
+  int iterations;
+  std::uint64_t seed;
+  /// Per rank, the final key slice and its global ranks.
+  std::vector<std::vector<std::uint32_t>> final_keys, final_ranks;
 
-  simnet::Cluster cluster(
-      {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
-       .host_threads = cfg.host_threads});
-  ParallelIsResult res;
-  res.keys = n;
-  std::vector<std::vector<std::uint32_t>> final_keys(cfg.ranks);
-  std::vector<std::vector<std::uint32_t>> final_ranks(cfg.ranks);
-
-  cluster.run([&](simnet::Comm& comm) {
+  /// One rank's program: rankings [start, iterations] of `keys` (empty =
+  /// generate this rank's slice of the NPB key stream), with
+  /// after_iter(iter, keys) after every ranking but the last.
+  template <class AfterIter>
+  void rank(simnet::Comm& comm, int start, std::vector<std::uint32_t> keys,
+            AfterIter&& after_iter) {
     const int r = comm.rank();
     const auto nranks = static_cast<std::uint64_t>(comm.size());
-    const std::uint64_t first = n * static_cast<std::uint64_t>(r) / nranks;
-    const std::uint64_t last =
-        n * static_cast<std::uint64_t>(r + 1) / nranks;
+    const auto [first, last] = block_of(n, comm);
     const std::uint64_t mine = last - first;
 
-    // Generate this rank's slice of the global key stream (4 deviates/key).
-    std::vector<std::uint32_t> keys(mine);
-    NpbRandom rng(seed);
-    rng.set_state(NpbRandom::skip(seed, 4 * first));
-    for (auto& k : keys) {
-      const double a = rng.next() + rng.next() + rng.next() + rng.next();
-      k = static_cast<std::uint32_t>(a * 0.25 * static_cast<double>(bmax));
-      if (k >= bmax) k = static_cast<std::uint32_t>(bmax - 1);
+    if (keys.empty()) {  // 4 deviates per key
+      keys.resize(mine);
+      NpbRandom rng(seed);
+      rng.set_state(NpbRandom::skip(seed, 4 * first));
+      for (auto& k : keys) {
+        const double a = rng.next() + rng.next() + rng.next() + rng.next();
+        k = static_cast<std::uint32_t>(a * 0.25 * static_cast<double>(bmax));
+        if (k >= bmax) k = static_cast<std::uint32_t>(bmax - 1);
+      }
+      OpCounter gen;
+      gen.fadd = 4 * mine;
+      gen.fmul = 6 * mine;
+      gen.iop = 12 * mine;
+      gen.store = mine;
+      comm.compute(arch::estimate_seconds(cpu, is_chars(gen)));
     }
-    OpCounter gen;
-    gen.fadd = 4 * mine;
-    gen.fmul = 6 * mine;
-    gen.iop = 12 * mine;
-    gen.store = mine;
-    comm.compute(arch::estimate_seconds(*cfg.cpu, is_chars(gen)));
 
     std::vector<std::uint32_t> rank_of(mine);
     std::vector<std::uint32_t> counts(bmax);
@@ -142,7 +174,7 @@ ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
     // rank in b; upper[b]: keys of bucket b on ranks >= r. Counts fit in
     // 32 bits: n <= 2^26.
     std::vector<std::uint32_t> below(bmax), upper(bmax);
-    for (int iter = 1; iter <= iterations; ++iter) {
+    for (int iter = start; iter <= iterations; ++iter) {
       // NPB's per-iteration perturbation, applied by the owning ranks.
       const auto g1 = static_cast<std::uint64_t>(iter);
       const std::uint64_t g2 = static_cast<std::uint64_t>(iter) + n / 2;
@@ -191,42 +223,209 @@ ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
       per_iter.load = 2 * mine + bmax * (1 + nranks);
       per_iter.store = 2 * mine + bmax;
       per_iter.branch = mine / 8 + bmax / 8;
-      comm.compute(arch::estimate_seconds(*cfg.cpu, is_chars(per_iter)));
+      comm.compute(arch::estimate_seconds(cpu, is_chars(per_iter)));
+      if (iter < iterations) after_iter(iter, keys);
     }
-    final_keys[r] = std::move(keys);
-    final_ranks[r] = std::move(rank_of);
+    final_keys[static_cast<std::size_t>(r)] = std::move(keys);
+    final_ranks[static_cast<std::size_t>(r)] = std::move(rank_of);
     comm.barrier();
-  });
+  }
 
-  // Verification (outside the simulation): scatter all keys by their global
-  // ranks; the result must be a sorted permutation.
-  std::vector<std::uint32_t> sorted(n);
-  std::vector<std::uint8_t> hit(n, 0);
-  bool perm = true;
-  for (int r = 0; r < cfg.ranks && perm; ++r) {
-    for (std::size_t i = 0; i < final_keys[r].size(); ++i) {
-      const std::uint32_t rk = final_ranks[r][i];
-      if (rk >= n || hit[rk]) {
-        perm = false;
-        break;
+  /// Verification (outside the simulation): scatter all keys by their
+  /// global ranks; the result must be a sorted permutation.
+  [[nodiscard]] ParallelIsResult result(const simnet::Cluster& cluster) const {
+    ParallelIsResult res;
+    res.keys = n;
+    std::vector<std::uint32_t> sorted(n);
+    std::vector<std::uint8_t> hit(n, 0);
+    bool perm = true;
+    for (std::size_t r = 0; r < final_keys.size() && perm; ++r) {
+      for (std::size_t i = 0; i < final_keys[r].size(); ++i) {
+        const std::uint32_t rk = final_ranks[r][i];
+        if (rk >= n || hit[rk]) {
+          perm = false;
+          break;
+        }
+        hit[rk] = 1;
+        sorted[rk] = final_keys[r][i];
       }
-      hit[rk] = 1;
-      sorted[rk] = final_keys[r][i];
     }
+    res.ranks_are_permutation = perm;
+    res.globally_sorted =
+        perm && std::is_sorted(sorted.begin(), sorted.end());
+    set_costs(res, cluster);
+    return res;
   }
-  res.ranks_are_permutation = perm;
-  res.globally_sorted =
-      perm && std::is_sorted(sorted.begin(), sorted.end());
-  res.elapsed_seconds = cluster.elapsed_seconds();
-  for (int r = 0; r < cfg.ranks; ++r) {
-    res.compute_seconds =
-        std::max(res.compute_seconds, cluster.stats(r).compute_seconds);
-  }
-  res.bytes = cluster.total_bytes();
-  res.messages = cluster.total_messages();
-  return res;
+};
+
+IsRun is_run(const ParallelNpbConfig& cfg, int n_log2, int bmax_log2,
+             int iterations, std::uint64_t seed) {
+  BLADED_REQUIRE_MSG(cfg.cpu != nullptr, "config.cpu is required");
+  BLADED_REQUIRE(cfg.ranks >= 1);
+  BLADED_REQUIRE(n_log2 >= 4 && n_log2 <= 26);
+  BLADED_REQUIRE(bmax_log2 >= 3 && bmax_log2 <= 24);
+  BLADED_REQUIRE(iterations >= 1);
+  const auto ranks = static_cast<std::size_t>(cfg.ranks);
+  return {*cfg.cpu, std::uint64_t{1} << n_log2, std::uint64_t{1} << bmax_log2,
+          iterations, seed,
+          std::vector<std::vector<std::uint32_t>>(ranks),
+          std::vector<std::vector<std::uint32_t>>(ranks)};
 }
 
+simnet::Cluster::Config plain_config(const ParallelNpbConfig& cfg) {
+  return {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
+          .host_threads = cfg.host_threads};
+}
+
+constexpr auto kNoHook = [](int, const auto&) {};
+
+/// Coordinated checkpoints of one FT run, shared by its attempts: ranks
+/// bracket each save with barriers, so a version is complete once rank 0
+/// commits it.
+struct Checkpoints {
+  fault::CheckpointStore store;
+  std::atomic<int> committed{0};  ///< last complete version (0 = none)
+  std::atomic<int> count{0};
+  std::atomic<double> last_commit_time{0.0};  ///< within the current attempt
+
+  void commit(simnet::Comm& comm, int version, std::vector<std::byte> blob) {
+    comm.barrier();
+    store.save(comm.rank(), version, std::move(blob));
+    comm.barrier();
+    if (comm.rank() == 0) {
+      committed.store(version);
+      count.fetch_add(1);
+      last_commit_time.store(comm.now());
+    }
+  }
+
+  /// This rank's blob of the last complete version, if there is one.
+  [[nodiscard]] std::optional<std::vector<std::byte>> resume(int rank) const {
+    if (committed.load() <= 0) return std::nullopt;
+    return store.load(rank, committed.load());
+  }
+};
+
+/// Runs `program` under the fault plan until an attempt completes, each
+/// restart shifting the plan by the virtual time already consumed; hands
+/// the completed attempt's cluster to `on_success`.
+template <class Program, class OnSuccess>
+NpbFtReport run_with_restarts(const NpbFaultConfig& cfg, Checkpoints& ck,
+                              const Program& program, OnSuccess&& on_success) {
+  BLADED_REQUIRE(cfg.max_restarts >= 0);
+  NpbFtReport ft;
+  double consumed = 0.0;
+  for (;;) {
+    fault::FaultPlan plan;
+    plan.enabled = true;
+    plan.schedule = cfg.schedule;
+    plan.transport = cfg.transport;
+    plan.seed = cfg.fault_seed;
+    plan.time_offset = consumed;
+    simnet::Cluster cluster({.ranks = cfg.base.ranks,
+                             .network = cfg.base.network,
+                             .fault = plan,
+                             .host_threads = cfg.base.host_threads});
+    ck.last_commit_time.store(0.0);
+    if (ft.restarts > 0) ft.resumed_from = ck.committed.load();
+
+    try {
+      cluster.run(program);
+    } catch (const FaultError&) {
+      const double elapsed = cluster.elapsed_seconds();
+      consumed += elapsed + cfg.restart_penalty_seconds;
+      ft.lost_virtual_seconds += (elapsed - ck.last_commit_time.load()) +
+                                 cfg.restart_penalty_seconds;
+      ft.fault_stats += cluster.fault_stats();
+      if (ft.restarts >= cfg.max_restarts) throw;
+      ++ft.restarts;
+      ++ft.attempts;
+      continue;
+    }
+
+    consumed += cluster.elapsed_seconds();
+    ft.fault_stats += cluster.fault_stats();
+    ft.total_virtual_seconds = consumed;
+    ft.checkpoints = ck.count.load();
+    on_success(cluster);
+    return ft;
+  }
+}
+
+}  // namespace
+
+ParallelEpResult run_parallel_ep(const ParallelNpbConfig& cfg, int m,
+                                 std::uint64_t seed) {
+  EpRun run = ep_run(cfg, m, seed, 1);
+  simnet::Cluster cluster(plain_config(cfg));
+  cluster.run(
+      [&](simnet::Comm& comm) { run.rank(comm, 0, EpResult{}, kNoHook); });
+  return run.result(cluster);
+}
+
+ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
+                                 int bmax_log2, int iterations,
+                                 std::uint64_t seed) {
+  IsRun run = is_run(cfg, n_log2, bmax_log2, iterations, seed);
+  simnet::Cluster cluster(plain_config(cfg));
+  cluster.run([&](simnet::Comm& comm) { run.rank(comm, 1, {}, kNoHook); });
+  return run.result(cluster);
+}
+
+ParallelEpFtResult run_parallel_ep_ft(const NpbFaultConfig& cfg, int m,
+                                      int batches, std::uint64_t seed) {
+  EpRun run = ep_run(cfg.base, m, seed, batches);
+  Checkpoints ck;
+  ParallelEpFtResult out;
+  out.ft = run_with_restarts(
+      cfg, ck,
+      [&](simnet::Comm& comm) {
+        EpResult acc;
+        int start = 0;
+        const auto blob = ck.resume(comm.rank());
+        if (blob && blob->size() == sizeof(EpResult)) {
+          std::memcpy(&acc, blob->data(), sizeof(EpResult));
+          start = ck.committed.load();
+        }
+        run.rank(comm, start, acc, [&](int done, const EpResult& partial) {
+          std::vector<std::byte> b(sizeof(EpResult));
+          std::memcpy(b.data(), &partial, sizeof(EpResult));
+          ck.commit(comm, done, std::move(b));
+        });
+      },
+      [&](const simnet::Cluster& cluster) { out.ep = run.result(cluster); });
+  return out;
+}
+
+ParallelIsFtResult run_parallel_is_ft(const NpbFaultConfig& cfg, int n_log2,
+                                      int bmax_log2, int iterations,
+                                      std::uint64_t seed) {
+  IsRun run = is_run(cfg.base, n_log2, bmax_log2, iterations, seed);
+  Checkpoints ck;
+  ParallelIsFtResult out;
+  out.ft = run_with_restarts(
+      cfg, ck,
+      [&](simnet::Comm& comm) {
+        // Key slice from the last complete checkpoint, else regenerated.
+        const auto [first, last] = block_of(run.n, comm);
+        std::vector<std::uint32_t> keys;
+        int start = 1;
+        const auto blob = ck.resume(comm.rank());
+        if (blob && blob->size() == (last - first) * sizeof(std::uint32_t)) {
+          keys.resize(last - first);
+          std::memcpy(keys.data(), blob->data(), blob->size());
+          start = ck.committed.load() + 1;
+        }
+        run.rank(comm, start, std::move(keys),
+                 [&](int iter, const std::vector<std::uint32_t>& k) {
+                   std::vector<std::byte> b(k.size() * sizeof(std::uint32_t));
+                   std::memcpy(b.data(), k.data(), b.size());
+                   ck.commit(comm, iter, std::move(b));
+                 });
+      },
+      [&](const simnet::Cluster& cluster) { out.is = run.result(cluster); });
+  return out;
+}
 
 ParallelStencilResult run_parallel_stencil(const ParallelNpbConfig& cfg,
                                            int n, int iterations,
@@ -254,9 +453,7 @@ ParallelStencilResult run_parallel_stencil(const ParallelNpbConfig& cfg,
   }
   constexpr double kOmega = 0.8;
 
-  simnet::Cluster cluster(
-      {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
-       .host_threads = cfg.host_threads});
+  simnet::Cluster cluster(plain_config(cfg));
   ParallelStencilResult res;
   res.n = n;
   res.iterations = iterations;
@@ -406,13 +603,7 @@ ParallelStencilResult run_parallel_stencil(const ParallelNpbConfig& cfg,
     }
   });
 
-  res.elapsed_seconds = cluster.elapsed_seconds();
-  for (int r = 0; r < cfg.ranks; ++r) {
-    res.compute_seconds =
-        std::max(res.compute_seconds, cluster.stats(r).compute_seconds);
-  }
-  res.bytes = cluster.total_bytes();
-  res.messages = cluster.total_messages();
+  set_costs(res, cluster);
   return res;
 }
 

@@ -6,23 +6,10 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/json_string.hpp"
 
 namespace bladed::prove {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 void append_interval(std::ostringstream& os, const check::Interval& iv) {
   os << "\"lo\":" << iv.lo << ",\"hi\":" << iv.hi;
@@ -113,11 +100,11 @@ ProveResult prove_program(const cms::Program& prog, std::size_t mem_doubles) {
 
 std::string to_json(const ProveResult& res, const std::string& name) {
   std::ostringstream os;
-  os << "{\"schema\":\"bladed-prove-v1\",\"program\":\"" << json_escape(name)
-     << "\",\"mem_doubles\":" << res.mem_doubles << ",\"valid\":"
+  os << "{\"schema\":\"bladed-prove-v1\",\"program\":" << json_string(name)
+     << ",\"mem_doubles\":" << res.mem_doubles << ",\"valid\":"
      << (res.valid ? "true" : "false");
   if (!res.valid) {
-    os << ",\"error\":\"" << json_escape(res.error) << "\"}";
+    os << ",\"error\":" << json_string(res.error) << "}";
     return os.str();
   }
 
@@ -132,7 +119,7 @@ std::string to_json(const ProveResult& res, const std::string& name) {
       append_interval(os, a.addr);
       os << ",";
     }
-    os << "\"detail\":\"" << json_escape(a.detail) << "\"}";
+    os << "\"detail\":" << json_string(a.detail) << "}";
   }
 
   os << "],\"alias_pairs\":[";

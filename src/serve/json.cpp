@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json_string.hpp"
+
 namespace bladed::serve {
 
 namespace {
@@ -249,31 +251,6 @@ class Parser {
   int max_depth_;
 };
 
-void escape_into(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace
 
 const Json& Json::get(std::string_view key) const {
@@ -331,7 +308,7 @@ void Json::dump_to(std::string& out) const {
       break;
     }
     case Kind::kString:
-      escape_into(out, str_);
+      append_json_string(out, str_);
       break;
     case Kind::kArray: {
       out.push_back('[');
@@ -350,7 +327,7 @@ void Json::dump_to(std::string& out) const {
       for (const auto& [k, v] : obj_) {
         if (!first) out.push_back(',');
         first = false;
-        escape_into(out, k);
+        append_json_string(out, k);
         out.push_back(':');
         v.dump_to(out);
       }

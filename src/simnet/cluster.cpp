@@ -109,7 +109,6 @@ Cluster::Cluster(Config cfg)
     : impl_(std::make_unique<ClusterImpl>()),
       links_(cfg.ranks, cfg.network),
       host_threads_(hostperf::resolve_host_threads(cfg.host_threads)),
-      record_trace_(cfg.record_trace),
       injector_(cfg.fault),
       recorder_(cfg.recorder),
       cancel_(cfg.cancel) {
@@ -296,7 +295,6 @@ void Cluster::run(const std::function<void(Comm&)>& program) {
     eng.sched_threshold.store(kInf, std::memory_order_relaxed);
     eng.slots.reset(std::min(host_threads_, n));
     links_.reset();
-    trace_.clear();
     fault_stats_ = fault::FaultStats{};
     fault_trace_.clear();
     for (int i = 0; i < n; ++i) {
@@ -546,12 +544,7 @@ void Cluster::op_compute(int r, double seconds) {
 }
 
 void Cluster::deliver(int src, int dst, int tag, Payload payload,
-                      double send_time, double available_at,
-                      std::size_t send_event) {
-  if (record_trace_) {
-    trace_.push_back(
-        {send_time, available_at, src, dst, tag, payload.size()});
-  }
+                      double available_at, std::size_t send_event) {
   Message msg;
   msg.src = src;
   msg.tag = tag;
@@ -620,11 +613,10 @@ void Cluster::ft_send(int r, int dst, int tag, Payload payload,
         continue;
       }
       // CRC collision (astronomically unlikely): delivered damaged.
-      deliver(r, dst, tag, Payload::copy_of(damaged), depart, available,
-              send_event);
+      deliver(r, dst, tag, Payload::copy_of(damaged), available, send_event);
       return;
     }
-    deliver(r, dst, tag, std::move(payload), depart, available, send_event);
+    deliver(r, dst, tag, std::move(payload), available, send_event);
     return;
   }
   ++fault_stats_.messages_lost;
@@ -671,7 +663,7 @@ void Cluster::op_send(int r, int dst, int tag, Payload payload) {
     return;
   }
   const double available = links_.schedule(r, dst, payload.size(), depart);
-  deliver(r, dst, tag, std::move(payload), depart, available, send_event);
+  deliver(r, dst, tag, std::move(payload), available, send_event);
   leave_op(r, lk);
 }
 

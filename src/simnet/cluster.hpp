@@ -57,16 +57,6 @@ struct ClusterImpl;  // engine internals (cluster.cpp)
 /// Wildcard source for Comm::recv_bytes / recv_payload.
 inline constexpr int kAnySource = -1;
 
-/// One point-to-point message, as observed by the (optional) trace.
-struct TraceRecord {
-  double send_time = 0.0;     ///< sender's clock when the send was issued
-  double deliver_time = 0.0;  ///< when the payload became available
-  int src = 0;
-  int dst = 0;
-  int tag = 0;
-  std::size_t bytes = 0;
-};
-
 struct RankStats {
   double compute_seconds = 0.0;  ///< time spent in Comm::compute
   double comm_seconds = 0.0;     ///< overheads + time blocked waiting
@@ -80,9 +70,6 @@ class Cluster {
   struct Config {
     int ranks = 1;
     NetworkModel network = NetworkModel::fast_ethernet();
-    /// Record every network message into trace() — for tests, debugging
-    /// and communication-timeline analysis. Off by default (costs memory).
-    bool record_trace = false;
     /// Fault injection + fault-tolerant transport (off by default: the
     /// engine behaves exactly as the original failure-free simulator).
     fault::FaultPlan fault{};
@@ -132,11 +119,6 @@ class Cluster {
   [[nodiscard]] const NetworkModel& network() const { return links_.model(); }
   /// Effective compute-slot bound (Config::host_threads after resolution).
   [[nodiscard]] int host_threads() const { return host_threads_; }
-  /// Message trace (empty unless Config::record_trace); stable order is the
-  /// order sends were committed to the link timeline.
-  [[nodiscard]] const std::vector<TraceRecord>& trace() const {
-    return trace_;
-  }
 
   // --- fault observability (valid during/after run()) ---------------------
 
@@ -233,15 +215,13 @@ class Cluster {
   [[noreturn]] void die(int r, double at);
   void ft_send(int r, int dst, int tag, Payload payload, double depart,
                std::size_t send_event);
-  void deliver(int r, int dst, int tag, Payload payload, double send_time,
-               double available_at, std::size_t send_event);
+  void deliver(int r, int dst, int tag, Payload payload, double available_at,
+               std::size_t send_event);
 
   std::unique_ptr<ClusterImpl> impl_;
   LinkTimeline links_;
   int host_threads_ = 1;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  bool record_trace_ = false;
-  std::vector<TraceRecord> trace_;
   fault::FaultInjector injector_;
   fault::FaultStats fault_stats_;
   std::vector<fault::ExecutedFault> fault_trace_;

@@ -1,8 +1,6 @@
 #include "treecode/checkpoint.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,22 +8,11 @@
 #include "simnet/cluster.hpp"
 #include "simnet/comm.hpp"
 #include "treecode/io.hpp"
-#include "treecode/morton.hpp"
 #include "treecode/parallel_internal.hpp"
-#include "treecode/perf.hpp"
 
 namespace bladed::treecode {
 
 namespace {
-
-std::vector<std::size_t> split_bounds(std::size_t n, int ranks) {
-  std::vector<std::size_t> b(static_cast<std::size_t>(ranks) + 1);
-  for (int r = 0; r <= ranks; ++r) {
-    b[static_cast<std::size_t>(r)] = n * static_cast<std::size_t>(r) /
-                                     static_cast<std::size_t>(ranks);
-  }
-  return b;
-}
 
 std::string snapshot_path(const std::string& dir, int version, int rank) {
   return dir + "/ck_v" + std::to_string(version) + "_r" +
@@ -70,22 +57,11 @@ ParticleSet unpack_state(const std::vector<std::byte>& blob) {
 
 FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
   const ParallelConfig& base = cfg.base;
-  BLADED_REQUIRE_MSG(base.cpu != nullptr, "ParallelConfig.cpu is required");
-  BLADED_REQUIRE(base.ranks >= 1);
-  BLADED_REQUIRE(base.steps >= 1);
-  BLADED_REQUIRE(base.particles >= static_cast<std::size_t>(base.ranks));
   BLADED_REQUIRE(cfg.checkpoint_every >= 0);
   BLADED_REQUIRE(cfg.max_restarts >= 0);
   BLADED_REQUIRE(cfg.restart_penalty_seconds >= 0.0);
   BLADED_REQUIRE(cfg.checkpoint_write_bw > 0.0);
-
-  // Global IC in Morton order, exactly as the fault-free driver builds it.
-  ParticleSet global = detail::make_ic(base);
-  {
-    const BoundingBox box = BoundingBox::containing(global);
-    const std::vector<std::uint64_t> keys = morton_keys(global, box);
-    global.apply_permutation(sort_permutation(keys));
-  }
+  const ParticleSet global = detail::morton_ic(base);
 
   FtResult out;
   fault::CheckpointStore store;
@@ -93,6 +69,34 @@ FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
   std::atomic<int> committed_ranks{0}; ///< rank count that wrote it
   std::atomic<int> ckpt_count{0};
   std::atomic<double> last_commit_time{0.0};  ///< within the current attempt
+
+  // Coordinated checkpoint after every `checkpoint_every` steps but the last.
+  const detail::StepHook checkpoint = [&](simnet::Comm& comm,
+                                          detail::RankWork& w, int done) {
+    if (cfg.checkpoint_every == 0 || done % cfg.checkpoint_every != 0 ||
+        done >= base.steps) {
+      return;
+    }
+    const int r = comm.rank();
+    comm.barrier();  // quiesce: no checkpoint spans in-flight sends
+    std::size_t blob_bytes = 0;
+    if (!cfg.snapshot_dir.empty()) {
+      save_snapshot(w.mine, snapshot_path(cfg.snapshot_dir, done, r));
+      blob_bytes = w.mine.size() * 7 * sizeof(double);
+    } else {
+      std::vector<std::byte> blob = pack_state(w.mine);
+      blob_bytes = blob.size();
+      store.save(r, done, std::move(blob));
+    }
+    comm.compute(static_cast<double>(blob_bytes) / cfg.checkpoint_write_bw);
+    comm.barrier();  // every rank committed => version is complete
+    if (r == 0) {
+      committed.store(done);
+      committed_ranks.store(comm.size());
+      ckpt_count.fetch_add(1);
+      last_commit_time.store(comm.now());
+    }
+  };
 
   double consumed = 0.0;  ///< virtual seconds across attempts + penalties
   int ranks_now = base.ranks;
@@ -102,12 +106,10 @@ FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
     // version exists (concatenated in rank order — contiguous in global
     // Morton order — then re-split over the current rank count), else IC.
     int start_step = 0;
-    std::vector<ParticleSet> start(static_cast<std::size_t>(ranks_now));
-    bool from_checkpoint = false;
+    ParticleSet whole;
     if (committed.load() >= 0) {
       const int version = committed.load();
       const int writers = committed_ranks.load();
-      ParticleSet whole;
       bool intact = true;
       for (int r = 0; r < writers && intact; ++r) {
         if (!cfg.snapshot_dir.empty()) {
@@ -126,27 +128,10 @@ FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
           }
         }
       }
-      if (intact) {
-        const auto b = split_bounds(whole.size(), ranks_now);
-        for (int r = 0; r < ranks_now; ++r) {
-          start[static_cast<std::size_t>(r)] =
-              whole.slice(b[static_cast<std::size_t>(r)],
-                          b[static_cast<std::size_t>(r) + 1]);
-        }
-        start_step = version;
-        from_checkpoint = true;
-      }
+      if (intact) start_step = version;
     }
-    if (!from_checkpoint) {
-      // No (usable) checkpoint: restart the physics from the beginning.
-      const auto b = split_bounds(global.size(), ranks_now);
-      for (int r = 0; r < ranks_now; ++r) {
-        start[static_cast<std::size_t>(r)] =
-            global.slice(b[static_cast<std::size_t>(r)],
-                         b[static_cast<std::size_t>(r) + 1]);
-      }
-      start_step = 0;
-    }
+    // No (usable) checkpoint: restart the physics from the beginning.
+    const ParticleSet& source = start_step > 0 ? whole : global;
     if (out.restarts > 0) out.resumed_from_step = start_step;
 
     fault::FaultPlan plan;
@@ -164,50 +149,9 @@ FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
 
     try {
       cluster.run([&](simnet::Comm& comm) {
-        const int r = comm.rank();
-        detail::RankWork& w = work[static_cast<std::size_t>(r)];
-        w.mine = std::move(start[static_cast<std::size_t>(r)]);
-
-        detail::evaluate_forces(comm, base, w);  // prime accelerations
-        const double h = 0.5 * base.dt;
-        for (int s = start_step; s < base.steps; ++s) {
-          detail::kick(w, h);
-          detail::drift(w, base.dt);
-          detail::evaluate_forces(comm, base, w);
-          detail::kick(w, h);
-          comm.compute(arch::estimate_seconds(*base.cpu,
-                                              update_profile(w.update_ops)));
-          w.update_ops = OpCounter{};
-
-          const int done = s + 1;
-          if (cfg.checkpoint_every > 0 &&
-              done % cfg.checkpoint_every == 0 && done < base.steps) {
-            comm.barrier();  // quiesce: no checkpoint spans in-flight sends
-            std::size_t blob_bytes = 0;
-            if (!cfg.snapshot_dir.empty()) {
-              save_snapshot(w.mine,
-                            snapshot_path(cfg.snapshot_dir, done, r));
-              blob_bytes = w.mine.size() * 7 * sizeof(double);
-            } else {
-              std::vector<std::byte> blob = pack_state(w.mine);
-              blob_bytes = blob.size();
-              store.save(r, done, std::move(blob));
-            }
-            comm.compute(static_cast<double>(blob_bytes) /
-                         cfg.checkpoint_write_bw);
-            comm.barrier();  // every rank committed => version is complete
-            if (r == 0) {
-              committed.store(done);
-              committed_ranks.store(comm.size());
-              ckpt_count.fetch_add(1);
-              last_commit_time.store(comm.now());
-            }
-          }
-        }
-        w.kinetic =
-            comm.allreduce(w.mine.kinetic_energy(), std::plus<double>{});
-        w.potential =
-            comm.allreduce(w.mine.potential_energy(), std::plus<double>{});
+        detail::run_rank(comm, base, source, start_step,
+                         work[static_cast<std::size_t>(comm.rank())],
+                         checkpoint);
       });
     } catch (const FaultError&) {
       const double attempt_elapsed = cluster.elapsed_seconds();
@@ -237,26 +181,7 @@ FtResult run_parallel_nbody_ft(const FtConfig& cfg) {
     out.fault_trace.insert(out.fault_trace.end(),
                            cluster.fault_trace().begin(),
                            cluster.fault_trace().end());
-    ParallelResult& res = out.result;
-    res.elapsed_seconds = cluster.elapsed_seconds();
-    res.bytes = cluster.total_bytes();
-    res.messages = cluster.total_messages();
-    for (int r = 0; r < ranks_now; ++r) {
-      const detail::RankWork& w = work[static_cast<std::size_t>(r)];
-      const OpCounter all = w.force_ops + w.build_ops;
-      res.total_flops += all.flops();
-      res.interactions += w.traversal.interactions();
-      res.compute_seconds =
-          std::max(res.compute_seconds, cluster.stats(r).compute_seconds);
-      res.particles_out.append(w.mine);
-    }
-    res.kinetic = work[0].kinetic;
-    res.potential = work[0].potential;
-    if (res.elapsed_seconds > 0.0) {
-      res.sustained_gflops =
-          static_cast<double>(res.total_flops) / res.elapsed_seconds / 1e9;
-      res.mflops_per_proc = res.sustained_gflops * 1000.0 / ranks_now;
-    }
+    out.result = detail::assemble(cluster, work);
     out.final_ranks = ranks_now;
     out.checkpoints = ckpt_count.load();
     out.total_virtual_seconds = consumed;

@@ -1,6 +1,8 @@
 #include "treecode/parallel.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hpp"
 #include "simnet/comm.hpp"
@@ -47,7 +49,7 @@ std::vector<MassElement> collect_let(const Octree& tree,
   return out;
 }
 
-namespace detail {
+namespace {
 
 ParticleSet make_ic(const ParallelConfig& cfg) {
   switch (cfg.ic_kind) {
@@ -62,6 +64,10 @@ ParticleSet make_ic(const ParallelConfig& cfg) {
   }
 }
 
+using detail::RankWork;
+
+/// One force evaluation: box allgather, local tree, LET alltoall, combined
+/// tree, traversal. Charges modelled compute time to `comm` as it goes.
 void evaluate_forces(simnet::Comm& comm, const ParallelConfig& cfg,
                      RankWork& w) {
   const int nranks = comm.size();
@@ -122,6 +128,8 @@ void evaluate_forces(simnet::Comm& comm, const ParallelConfig& cfg,
   comm.compute(arch::estimate_seconds(*cfg.cpu, force_profile(st.ops)));
 }
 
+/// Leapfrog half-kick / drift over the owned particles (accumulates the
+/// update-op counts into `w.update_ops`).
 void kick(RankWork& w, double h) {
   for (std::size_t i = 0; i < w.mine.size(); ++i) {
     w.mine.vx[i] += h * w.mine.ax[i];
@@ -150,75 +158,81 @@ void drift(RankWork& w, double dt) {
   w.update_ops += o;
 }
 
-}  // namespace detail
+}  // namespace
 
-ParallelResult run_parallel_nbody(const ParallelConfig& cfg) {
-  using detail::RankWork;
+namespace detail {
+
+ParticleSet morton_ic(const ParallelConfig& cfg) {
   BLADED_REQUIRE_MSG(cfg.cpu != nullptr, "ParallelConfig.cpu is required");
   BLADED_REQUIRE(cfg.ranks >= 1);
   BLADED_REQUIRE(cfg.steps >= 1);
   BLADED_REQUIRE(cfg.particles >= static_cast<std::size_t>(cfg.ranks));
+  ParticleSet global = make_ic(cfg);
+  const BoundingBox box = BoundingBox::containing(global);
+  global.apply_permutation(sort_permutation(morton_keys(global, box)));
+  return global;
+}
 
-  // Global IC in Morton order; contiguous equal-count chunks per rank.
-  ParticleSet global = detail::make_ic(cfg);
-  {
-    const BoundingBox box = BoundingBox::containing(global);
-    const std::vector<std::uint64_t> keys = morton_keys(global, box);
-    global.apply_permutation(sort_permutation(keys));
+void run_rank(simnet::Comm& comm, const ParallelConfig& cfg,
+              const ParticleSet& source, int start_step, RankWork& w,
+              const StepHook& after_step) {
+  const std::size_t n = source.size();
+  const auto r = static_cast<std::size_t>(comm.rank());
+  const auto ranks = static_cast<std::size_t>(comm.size());
+  w.mine = source.slice(n * r / ranks, n * (r + 1) / ranks);
+  evaluate_forces(comm, cfg, w);  // prime accelerations
+  const double h = 0.5 * cfg.dt;
+  for (int s = start_step; s < cfg.steps; ++s) {
+    kick(w, h);
+    drift(w, cfg.dt);
+    evaluate_forces(comm, cfg, w);
+    kick(w, h);
+    comm.compute(
+        arch::estimate_seconds(*cfg.cpu, update_profile(w.update_ops)));
+    w.update_ops = OpCounter{};
+    if (after_step) after_step(comm, w, s + 1);
   }
-  const std::size_t n = global.size();
-  std::vector<std::size_t> bounds(cfg.ranks + 1);
-  for (int r = 0; r <= cfg.ranks; ++r) {
-    bounds[r] = n * static_cast<std::size_t>(r) / cfg.ranks;
-  }
+  w.kinetic = comm.allreduce(w.mine.kinetic_energy(), std::plus<double>{});
+  w.potential = comm.allreduce(w.mine.potential_energy(), std::plus<double>{});
+}
 
-  simnet::Cluster cluster(
-      {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
-       .host_threads = cfg.host_threads, .cancel = cfg.cancel});
-  std::vector<RankWork> work(cfg.ranks);
-
-  cluster.run([&](simnet::Comm& comm) {
-    const int r = comm.rank();
-    RankWork& w = work[r];
-    w.mine = global.slice(bounds[r], bounds[r + 1]);
-
-    evaluate_forces(comm, cfg, w);  // prime accelerations
-    const double h = 0.5 * cfg.dt;
-    for (int s = 0; s < cfg.steps; ++s) {
-      kick(w, h);
-      drift(w, cfg.dt);
-      evaluate_forces(comm, cfg, w);
-      kick(w, h);
-      comm.compute(arch::estimate_seconds(
-          *cfg.cpu, update_profile(w.update_ops)));
-      w.update_ops = OpCounter{};
-    }
-    w.kinetic = comm.allreduce(w.mine.kinetic_energy(), std::plus<double>{});
-    w.potential =
-        comm.allreduce(w.mine.potential_energy(), std::plus<double>{});
-  });
-
+ParallelResult assemble(const simnet::Cluster& cluster,
+                        const std::vector<RankWork>& work) {
   ParallelResult res;
   res.elapsed_seconds = cluster.elapsed_seconds();
   res.bytes = cluster.total_bytes();
   res.messages = cluster.total_messages();
-  for (int r = 0; r < cfg.ranks; ++r) {
-    const OpCounter all =
-        work[r].force_ops + work[r].build_ops;
+  for (int r = 0; r < cluster.ranks(); ++r) {
+    const RankWork& w = work[static_cast<std::size_t>(r)];
+    const OpCounter all = w.force_ops + w.build_ops;
     res.total_flops += all.flops();
-    res.interactions += work[r].traversal.interactions();
+    res.interactions += w.traversal.interactions();
     res.compute_seconds =
         std::max(res.compute_seconds, cluster.stats(r).compute_seconds);
-    res.particles_out.append(work[r].mine);
+    res.particles_out.append(w.mine);
   }
   res.kinetic = work[0].kinetic;
   res.potential = work[0].potential;
   if (res.elapsed_seconds > 0.0) {
     res.sustained_gflops =
         static_cast<double>(res.total_flops) / res.elapsed_seconds / 1e9;
-    res.mflops_per_proc = res.sustained_gflops * 1000.0 / cfg.ranks;
+    res.mflops_per_proc = res.sustained_gflops * 1000.0 / cluster.ranks();
   }
   return res;
+}
+
+}  // namespace detail
+
+ParallelResult run_parallel_nbody(const ParallelConfig& cfg) {
+  const ParticleSet global = detail::morton_ic(cfg);
+  simnet::Cluster cluster(
+      {.ranks = cfg.ranks, .network = cfg.network, .recorder = cfg.recorder,
+       .host_threads = cfg.host_threads, .cancel = cfg.cancel});
+  std::vector<RankWork> work(cfg.ranks);
+  cluster.run([&](simnet::Comm& comm) {
+    detail::run_rank(comm, cfg, global, 0, work[comm.rank()], {});
+  });
+  return detail::assemble(cluster, work);
 }
 
 }  // namespace bladed::treecode

@@ -5,13 +5,16 @@
 /// checkpoint/restart driver (treecode/checkpoint.cpp). Not a public API:
 /// everything here may change without notice.
 
+#include <functional>
+
 #include "common/opcount.hpp"
 #include "treecode/parallel.hpp"
 #include "treecode/traverse.hpp"
 
 namespace bladed::simnet {
+class Cluster;
 class Comm;
-}
+}  // namespace bladed::simnet
 
 namespace bladed::treecode::detail {
 
@@ -23,17 +26,23 @@ struct RankWork {
   double kinetic = 0.0, potential = 0.0;
 };
 
-/// Build the configured initial condition (Plummer / cube / colliding pair).
-[[nodiscard]] ParticleSet make_ic(const ParallelConfig& cfg);
+/// Validate `cfg` and build its initial condition (Plummer / cube /
+/// colliding pair) in global Morton order.
+[[nodiscard]] ParticleSet morton_ic(const ParallelConfig& cfg);
 
-/// One force evaluation: box allgather, local tree, LET alltoall, combined
-/// tree, traversal. Charges modelled compute time to `comm` as it goes.
-void evaluate_forces(simnet::Comm& comm, const ParallelConfig& cfg,
-                     RankWork& w);
+/// Called after each completed step with the number of steps done.
+using StepHook = std::function<void(simnet::Comm&, RankWork&, int)>;
 
-/// Leapfrog half-kick / drift over the owned particles (accumulates the
-/// update-op counts into `w.update_ops`).
-void kick(RankWork& w, double h);
-void drift(RankWork& w, double dt);
+/// One rank's program: take this rank's contiguous, equal-count chunk of
+/// `source` (global Morton order) into `w.mine`, prime the accelerations,
+/// leapfrog steps [start_step, cfg.steps) (`after_step`, if set, runs
+/// after each), then the energy allreduces.
+void run_rank(simnet::Comm& comm, const ParallelConfig& cfg,
+              const ParticleSet& source, int start_step, RankWork& w,
+              const StepHook& after_step);
+
+/// The run's metrics and final particle state from a completed cluster.
+[[nodiscard]] ParallelResult assemble(const simnet::Cluster& cluster,
+                                      const std::vector<RankWork>& work);
 
 }  // namespace bladed::treecode::detail

@@ -10,6 +10,7 @@
 #include "check/dominators.hpp"
 #include "cms/interpreter.hpp"
 #include "cms/translator.hpp"
+#include "common/json_string.hpp"
 #include "prove/bounds.hpp"
 #include "prove/context.hpp"
 
@@ -103,15 +104,6 @@ void append_u64(std::ostringstream& os, std::uint64_t v) {
   } else {
     os << v;
   }
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -365,7 +357,7 @@ std::string Certificate::to_json() const {
   std::ostringstream os;
   os << "{\"valid\":" << (valid ? "true" : "false");
   if (!valid) {
-    os << ",\"error\":\"" << escape(error) << "\"}";
+    os << ",\"error\":" << json_string(error) << "}";
     return os.str();
   }
   os << ",\"bounded\":" << (bounded ? "true" : "false");
@@ -373,8 +365,8 @@ std::string Certificate::to_json() const {
     os << ",\"unbounded\":[";
     for (std::size_t i = 0; i < unbounded.size(); ++i) {
       if (i != 0) os << ",";
-      os << "{\"pc\":" << unbounded[i].pc << ",\"reason\":\""
-         << escape(unbounded[i].reason) << "\"}";
+      os << "{\"pc\":" << unbounded[i].pc << ",\"reason\":"
+         << json_string(unbounded[i].reason) << "}";
     }
     os << "]}";
     return os.str();

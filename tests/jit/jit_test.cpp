@@ -2,12 +2,11 @@
 /// count, bit-identical accounting against the two-tier engine, license
 /// refusal and fallback, rollback on a miscompiled region, invalidation on
 /// cache eviction, the budget cap, the translation-cache replay primitive,
-/// the dry-run lowering report and the BLADED_JIT toggle.
+/// and the dry-run lowering report.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -414,19 +413,6 @@ TEST(JitDryRun, RefusesInvalidProgram) {
   // check_program flags the constant out-of-bounds access; nothing lowers.
   EXPECT_FALSE(report.valid);
   EXPECT_FALSE(report.error.empty());
-}
-
-TEST(JitEnv, BladedJitToggleParses) {
-  ASSERT_EQ(unsetenv("BLADED_JIT"), 0);
-  EXPECT_TRUE(env_enabled(true));
-  EXPECT_FALSE(env_enabled(false));
-  ASSERT_EQ(setenv("BLADED_JIT", "0", 1), 0);
-  EXPECT_FALSE(env_enabled(true));
-  ASSERT_EQ(setenv("BLADED_JIT", "off", 1), 0);
-  EXPECT_FALSE(env_enabled(true));
-  ASSERT_EQ(setenv("BLADED_JIT", "1", 1), 0);
-  EXPECT_TRUE(env_enabled(false));
-  ASSERT_EQ(unsetenv("BLADED_JIT"), 0);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <string>
 
+#include "prove/prove.hpp"
 #include "serve/json.hpp"
+#include "wcet/wcet.hpp"
 
 namespace bladed::serve {
 namespace {
@@ -124,6 +126,22 @@ TEST(Json, DuplicateKeysLastOneWinsOnGet) {
   const Json v = Json::parse(R"({"k":1,"k":2})");
   EXPECT_EQ(v.as_object().size(), 2u);
   EXPECT_DOUBLE_EQ(v.get("k").as_number(), 1.0);
+}
+
+// The prove and wcet reports share the escaper Json::dump uses, so control
+// characters in a free-text field still give a report the strict parser
+// accepts, and the text round-trips.
+TEST(Json, ReportsEscapeControlCharacters) {
+  const std::string nasty = "tab\there\rcr\x01ctl \"q\" back\\slash\nnl";
+  prove::ProveResult pr;
+  pr.error = nasty;
+  const Json p = Json::parse(prove::to_json(pr, "prog\tname"));
+  EXPECT_EQ(p.get("error").as_string(), nasty);
+  EXPECT_EQ(p.get("program").as_string(), "prog\tname");
+
+  wcet::Certificate cert;
+  cert.error = nasty;
+  EXPECT_EQ(Json::parse(cert.to_json()).get("error").as_string(), nasty);
 }
 
 }  // namespace

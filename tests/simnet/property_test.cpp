@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "commcheck/recorder.hpp"
 #include "common/rng.hpp"
 #include "simnet/comm.hpp"
 
@@ -91,7 +92,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrafficFuzz, ::testing::Range(0, 8));
 
 TEST(Trace, RecordsEveryMessageWithCausalTimes) {
   const Plan plan = random_plan(77, 5, 40);
-  Cluster cluster({.ranks = 5, .network = NetworkModel::fast_ethernet(), .record_trace = true});
+  commcheck::Recorder recorder(5);
+  Cluster cluster({.ranks = 5,
+                   .network = NetworkModel::fast_ethernet(),
+                   .recorder = &recorder});
   cluster.run([&](Comm& comm) {
     for (const auto& m : plan.msgs) {
       if (m.src == comm.rank()) {
@@ -102,38 +106,33 @@ TEST(Trace, RecordsEveryMessageWithCausalTimes) {
       if (m.dst == comm.rank()) (void)comm.recv_bytes(m.src, m.tag);
     }
   });
-  const auto& trace = cluster.trace();
-  ASSERT_EQ(trace.size(), plan.msgs.size());
+  const commcheck::Trace& trace = recorder.trace();
   const NetworkModel net = NetworkModel::fast_ethernet();
+  std::size_t sends = 0, recvs = 0;
   std::uint64_t traced_bytes = 0;
-  for (const TraceRecord& rec : trace) {
-    EXPECT_NE(rec.src, rec.dst);
-    EXPECT_GE(rec.deliver_time,
-              rec.send_time + net.wire_time(rec.bytes) - 1e-15);
-    traced_bytes += rec.bytes;
+  for (const auto& events : trace.events) {
+    for (const commcheck::CommEvent& e : events) {
+      if (e.kind == commcheck::EventKind::kSend) {
+        ++sends;
+        EXPECT_NE(e.rank, e.peer);
+        traced_bytes += e.bytes;
+      } else if (e.kind == commcheck::EventKind::kRecv) {
+        ++recvs;
+        ASSERT_TRUE(e.completed);
+        ASSERT_NE(e.matched_event, commcheck::kNoEvent);
+        const commcheck::CommEvent& send =
+            trace.events[static_cast<std::size_t>(e.matched_src)]
+                        [e.matched_event];
+        EXPECT_EQ(send.bytes, e.bytes);
+        EXPECT_GE(e.time, send.time + net.wire_time(send.bytes) - 1e-15);
+      }
+    }
   }
+  EXPECT_EQ(sends, plan.msgs.size());
+  EXPECT_EQ(recvs, plan.msgs.size());
   std::uint64_t plan_bytes = 0;
   for (const auto& m : plan.msgs) plan_bytes += m.bytes;
   EXPECT_EQ(traced_bytes, plan_bytes);
-}
-
-TEST(Trace, EmptyWhenDisabledAndClearedBetweenRuns) {
-  Cluster off({.ranks = 2, .network = NetworkModel::fast_ethernet()});
-  off.run([](Comm& comm) {
-    if (comm.rank() == 0) comm.send_value(1, 0, 1);
-    else (void)comm.recv_value<int>(0, 0);
-  });
-  EXPECT_TRUE(off.trace().empty());
-
-  Cluster on({.ranks = 2, .network = NetworkModel::fast_ethernet(), .record_trace = true});
-  auto program = [](Comm& comm) {
-    if (comm.rank() == 0) comm.send_value(1, 0, 1);
-    else (void)comm.recv_value<int>(0, 0);
-  };
-  on.run(program);
-  EXPECT_EQ(on.trace().size(), 1u);
-  on.run(program);
-  EXPECT_EQ(on.trace().size(), 1u);  // cleared, not accumulated
 }
 
 TEST(Causality, DeliveryNeverPrecedesSend) {
