@@ -1,11 +1,14 @@
 #pragma once
 
-/// Barnes–Hut force evaluation over the hashed octree: per-particle stack
-/// traversal with the opening-angle multipole acceptance criterion
-/// s/d < theta, softened monopole interactions, and a choice of reciprocal
-/// square root (library sqrt+divide, or Karp's all-multiply scheme — the two
-/// §3.2 variants). Interactions and MAC tests are counted exactly and
-/// converted to operation counts for the performance model.
+/// Barnes–Hut force evaluation over the hashed octree: a stack traversal
+/// with the opening-angle multipole acceptance criterion s/d < theta,
+/// softened monopole interactions, and a choice of reciprocal square root
+/// (library sqrt+divide, or Karp's all-multiply scheme — the two §3.2
+/// variants). One walk serves a block of Morton-adjacent targets, each with
+/// its own accept/open decisions, so every target gets exactly its
+/// per-particle walk's result (DESIGN.md §17). Interactions and MAC tests
+/// are counted exactly, per target, and converted to operation counts for
+/// the performance model.
 
 #include "common/opcount.hpp"
 #include "treecode/tree.hpp"

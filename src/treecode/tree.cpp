@@ -149,11 +149,13 @@ struct Builder {
 Octree Octree::build(ParticleSet& p, Params params) {
   BLADED_REQUIRE_MSG(p.size() > 0, "cannot build a tree over zero particles");
   const BoundingBox box = BoundingBox::containing(p);
-  std::vector<std::uint64_t> keys = morton_keys(p, box);
+  const std::vector<std::uint64_t> keys = morton_keys(p, box);
   const std::vector<std::size_t> perm = sort_permutation(keys);
   p.apply_permutation(perm);
-  std::sort(keys.begin(), keys.end());
-  Octree t = build_sorted(p, box, params);
+  // The permuted particles' keys are the keys in sorted order.
+  std::vector<std::uint64_t> sorted(keys.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) sorted[i] = keys[perm[i]];
+  Octree t = from_keys(p, box, sorted, params);
   // Account for the key generation + sort the caller just paid for.
   const auto n = static_cast<std::uint64_t>(p.size());
   const auto logn = static_cast<std::uint64_t>(
@@ -169,16 +171,24 @@ Octree Octree::build(ParticleSet& p, Params params) {
 Octree Octree::build_sorted(const ParticleSet& p, const BoundingBox& box,
                             Params params) {
   BLADED_REQUIRE(p.size() > 0);
+  const std::vector<std::uint64_t> keys = morton_keys(p, box);
+  BLADED_REQUIRE_MSG(std::is_sorted(keys.begin(), keys.end()),
+                     "build_sorted requires Morton-ordered particles");
+  return from_keys(p, box, keys, params);
+}
+
+Octree Octree::from_keys(const ParticleSet& p, const BoundingBox& box,
+                         const std::vector<std::uint64_t>& keys,
+                         Params params) {
   BLADED_REQUIRE(params.leaf_capacity >= 1);
   BLADED_REQUIRE(params.max_depth >= 1 &&
                  params.max_depth <= kMortonBitsPerDim);
 
-  const std::vector<std::uint64_t> keys = morton_keys(p, box);
-  BLADED_REQUIRE_MSG(std::is_sorted(keys.begin(), keys.end()),
-                     "build_sorted requires Morton-ordered particles");
-
   Builder b{p, keys, params, {}, {}, 0, 0, {}};
-  b.nodes.reserve(2 * p.size() / std::max(1, params.leaf_capacity) + 64);
+  const std::size_t expected_nodes =
+      2 * p.size() / static_cast<std::size_t>(params.leaf_capacity) + 64;
+  b.nodes.reserve(expected_nodes);
+  b.hash.reserve(expected_nodes);
   double center[3];
   for (int d = 0; d < 3; ++d) center[d] = box.lo[d] + 0.5 * box.extent;
   b.build_node(0, static_cast<std::uint32_t>(p.size()), 0, 1, center,

@@ -76,6 +76,12 @@ class Octree {
   [[nodiscard]] const OpCounter& build_ops() const { return build_ops_; }
 
  private:
+  /// The build over `p`, Morton-ordered within `box`, whose sorted keys are
+  /// `keys`.
+  static Octree from_keys(const ParticleSet& p, const BoundingBox& box,
+                          const std::vector<std::uint64_t>& keys,
+                          Params params);
+
   std::vector<Node> nodes_;
   std::unordered_map<std::uint64_t, std::uint32_t> hash_;
   BoundingBox box_;
