@@ -20,7 +20,7 @@ namespace bladed::hostperf {
 /// Counting semaphore bounding how many rank threads run user code
 /// concurrently. Slots are released on entry to an engine operation (a
 /// communication point) and re-acquired before returning to user code, so a
-/// slot holder never waits on a scheduler grant while holding its slot —
+/// slot holder never waits on an engine grant while holding its slot —
 /// waiters always make progress.
 ///
 /// Verified by the bladed-mc `slot-pool` protocol model [mc:slot-pool]:

@@ -20,188 +20,232 @@ std::memory_order clock_order(Bug b) {
                               : std::memory_order_seq_cst;
 }
 
+// --- the dispatch routine shared by the handshake and slot-pool models -----
+//
+// Mirrors Cluster::dispatch_locked() [mc:handshake]: there is no scheduler
+// actor. Every rank thread that changes engine state — arrives, leaves,
+// exits or computes past the published horizon — takes the grant decision
+// itself under `mu`. Each model fixes the (time, id) order its grants must
+// follow; dispatch checks every grant against it and checks that no two
+// ranks are ever granted at once. A decision lost by a broken variant
+// leaves some rank parked forever, which the executor reports.
+
+enum RankState : int { kComputing = 0, kReady = 1, kRunning = 2, kDone = 3 };
+
+struct DispatchState {
+  checked_atomic<double> threshold{kInf};
+  checked_mutex mu;
+  std::vector<std::unique_ptr<checked_atomic<double>>> clock;
+  std::vector<std::unique_ptr<checked_condvar>> cv;
+  std::vector<std::unique_ptr<var<int>>> state;   // RankState, guarded by mu
+  std::vector<std::unique_ptr<var<double>>> rtime;  // arrival time
+  var<int> grants{0};
+  std::vector<int> expected;  // grant order, fixed by the scenario
+  Bug bug = Bug::kNone;
+
+  DispatchState(int ranks, Bug b) : bug(b) {
+    for (int i = 0; i < ranks; ++i) {
+      clock.push_back(std::make_unique<checked_atomic<double>>(0.0));
+      cv.push_back(std::make_unique<checked_condvar>());
+      state.push_back(std::make_unique<var<int>>(kComputing));
+      rtime.push_back(std::make_unique<var<double>>(0.0));
+    }
+  }
+  [[nodiscard]] int ranks() const { return static_cast<int>(clock.size()); }
+  checked_atomic<double>& clk(int i) {
+    return *clock[static_cast<std::size_t>(i)];
+  }
+  var<int>& st(int i) { return *state[static_cast<std::size_t>(i)]; }
+
+  // Cluster::dispatch_locked (mu held). The models have no wake deadlines,
+  // so one pass decides.
+  void dispatch() {
+    int best = -1;
+    double horizon = kInf;
+    bool running = false;
+    unsigned computing = 0;
+    for (int i = 0; i < ranks(); ++i) {
+      const int s = st(i).read();
+      if (s == kRunning) {
+        // BUG double-grant: decides as if no rank were running.
+        if (bug != Bug::kDoubleGrant) return;
+        running = true;
+      } else if (s == kReady) {
+        const double t = rtime[static_cast<std::size_t>(i)]->read();
+        if (t < horizon) {
+          horizon = t;
+          best = i;
+        }
+      } else if (s == kComputing) {
+        computing |= 1u << i;
+      }
+    }
+    if (computing != 0) {
+      threshold.store(horizon, publish_order(bug));
+      // BUG no-recheck: grants without re-reading the computing clocks.
+      if (bug != Bug::kNoRecheck) {
+        double min_lb = kInf;
+        for (int i = 0; i < ranks(); ++i) {
+          if ((computing & (1u << i)) != 0) {
+            min_lb = std::min(min_lb, clk(i).load(std::memory_order_seq_cst));
+          }
+        }
+        // BUG strict-compare: a tie at the horizon is not held back.
+        const bool hold = bug == Bug::kStrictCompare ? min_lb < horizon
+                                                     : min_lb <= horizon;
+        if (hold) return;  // horizon stays published
+      }
+    }
+    threshold.store(kInf, std::memory_order_seq_cst);
+    if (best < 0) return;
+    model_check(!running, "two ranks granted at once");
+    const int g = grants.read();
+    model_check(g < static_cast<int>(expected.size()) &&
+                    best == expected[static_cast<std::size_t>(g)],
+                "grant does not match (time, id) arrival order");
+    grants.write(g + 1);
+    st(best).write(kRunning);
+    cv[static_cast<std::size_t>(best)]->notify_one();
+  }
+
+  // Comm::compute fast path: store the clock; crossing a published horizon
+  // dispatches under mu.
+  void compute(int i, double t) {
+    clk(i).store(t, clock_order(bug));
+    const double th = threshold.load(std::memory_order_seq_cst);
+    // BUG no-crossing-notify: the crossing never dispatches.
+    if (bug != Bug::kNoCrossingNotify && t >= th) {
+      std::unique_lock<checked_mutex> lk(mu);
+      dispatch();
+    }
+  }
+
+  // enter_op: park as ready at `t`, dispatch, sleep until granted.
+  void arrive(int i, double t) {
+    std::unique_lock<checked_mutex> lk(mu);
+    st(i).write(kReady);
+    rtime[static_cast<std::size_t>(i)]->write(t);
+    dispatch();
+    wait_granted(i, lk);
+  }
+  void wait_granted(int i, std::unique_lock<checked_mutex>& lk) {
+    while (st(i).read() != kRunning) cv[static_cast<std::size_t>(i)]->wait(lk);
+  }
+
+  // leave_op (to kComputing) or the rank's exit (to kDone): dispatch.
+  void leave(int i, int next) {
+    std::unique_lock<checked_mutex> lk(mu);
+    st(i).write(next);
+    dispatch();
+  }
+};
+
 // --- handshake-order --------------------------------------------------------
 //
-// Mirrors the grant decision in ClusterImpl::run() [mc:handshake]: the
-// scheduler owns a set of pre-arrived ready ranks (rank 1 tied with the
-// computing rank at t=10, the rest behind it) while rank 0 is still
-// computing toward t=10. The Dekker publish/re-check must hold the grant
-// until rank 0 has arrived, or the tie is granted out of (time, id) order.
-
-struct OrderState {
-  checked_atomic<double> threshold{kInf};
-  checked_atomic<double> clock0{0.0};
-  checked_mutex mu;
-  checked_condvar sched_cv;
-  var<int> ready0{0};  // rank 0 arrived? (guarded by mu)
-};
+// Rank 0 computes toward t=10 while ranks 1..n-1 arrive at t=10 (a tie with
+// rank 0), 11, 12, ...: every arrival dispatches, and the Dekker publish /
+// re-check must hold each grant until rank 0 has arrived, or the tie is
+// granted out of (time, id) order. Each granted rank leaves and exits, so
+// its exit dispatches the next grant.
 
 Model make_handshake_order(Bug bug, int ranks) {
   Model m;
   m.name = "handshake-order";
-  m.actor_names = {"sched", "rank0"};
+  for (int i = 0; i < ranks; ++i) {
+    m.actor_names.push_back("rank" + std::to_string(i));
+  }
   m.make = [bug, ranks](Executor&) {
-    auto st = std::make_shared<OrderState>();
-
-    Executor::ThreadFn rank0 = [st, bug] {
-      // op_compute fast path [mc:handshake]: advance the virtual clock,
-      // then notify the scheduler if the threshold was crossed.
-      st->clock0.store(10.0, clock_order(bug));
-      const double t = st->threshold.load(std::memory_order_seq_cst);
-      if (bug != Bug::kNoCrossingNotify && 10.0 >= t) {
-        std::unique_lock<checked_mutex> lk(st->mu);
-        st->sched_cv.notify_one();
-      }
-      // leave_op arrival [mc:handshake]: become ready under the lock.
-      std::unique_lock<checked_mutex> lk(st->mu);
-      st->ready0.write(1);
-      st->sched_cv.notify_one();
-    };
-
-    Executor::ThreadFn sched = [st, bug, ranks] {
-      std::unique_lock<checked_mutex> lk(st->mu);
-      // Pre-arrived ready ranks: rank 1 ties rank 0 at t=10.
-      struct Ready {
-        double t;
-        int id;
-      };
-      std::vector<Ready> ready;
-      for (int i = 1; i < ranks; ++i) {
-        ready.push_back({i == 1 ? 10.0 : 10.0 + (i - 1), i});
-      }
-      double prev_t = -kInf;
-      int prev_id = -1;
-      double last_lb = -kInf;
-      int grants = 0;
-      bool rank0_enlisted = false;
-      while (grants < ranks) {
-        if (!rank0_enlisted && st->ready0.read() != 0) {
-          ready.push_back({10.0, 0});
-          rank0_enlisted = true;
-        }
-        const bool computing = st->ready0.read() == 0;
-        double horizon = kInf;
-        int best = -1;
-        for (const Ready& r : ready) {
-          if (r.t < horizon || (r.t == horizon && r.id < best)) {
-            horizon = r.t;
-            best = r.id;
-          }
-        }
-        st->threshold.store(horizon, publish_order(bug));
-        bool must_wait = false;
-        if (computing) {
-          if (bug == Bug::kNoRecheck) {
-            // BUG: grants without re-reading the computing rank's clock.
-            must_wait = false;
-          } else {
-            const double min_lb =
-                st->clock0.load(std::memory_order_seq_cst);
-            model_check(min_lb >= last_lb,
-                        "clock lower bound went backwards");
-            last_lb = min_lb;
-            must_wait = bug == Bug::kStrictCompare ? min_lb < horizon
-                                                   : min_lb <= horizon;
-          }
-        }
-        if (must_wait || best < 0) {
-          st->sched_cv.wait(lk);
-          st->threshold.store(kInf, std::memory_order_seq_cst);
-          continue;
-        }
-        st->threshold.store(kInf, std::memory_order_seq_cst);
-        // Grant: must be monotone in (virtual time, rank id) and must match
-        // the (time, id)-sorted arrival set exactly.
-        model_check(horizon > prev_t || (horizon == prev_t && best > prev_id),
-                    "grant order regressed in (time, id)");
-        // Arrival set sorted by (time, id) is (10,0),(10,1),(11,2),...: the
-        // g-th grant must go to rank g.
-        model_check(best == grants,
-                    "grant does not match (time, id) arrival order");
-        prev_t = horizon;
-        prev_id = best;
-        for (std::size_t i = 0; i < ready.size(); ++i) {
-          if (ready[i].id == best) {
-            ready.erase(ready.begin() + static_cast<long>(i));
-            break;
-          }
-        }
-        ++grants;
-      }
-    };
-
-    return std::vector<Executor::ThreadFn>{std::move(sched),
-                                           std::move(rank0)};
+    auto st = std::make_shared<DispatchState>(ranks, bug);
+    for (int i = 0; i < ranks; ++i) st->expected.push_back(i);
+    std::vector<Executor::ThreadFn> fns;
+    fns.push_back([st] {
+      st->compute(0, 10.0);
+      st->arrive(0, 10.0);
+      st->leave(0, kDone);
+    });
+    for (int i = 1; i < ranks; ++i) {
+      const double t = 10.0 + (i - 1);
+      st->clk(i).store(t, std::memory_order_seq_cst);
+      fns.push_back([st, i, t] {
+        st->arrive(i, t);
+        st->leave(i, kDone);
+      });
+    }
+    return fns;
   };
   return m;
 }
 
 // --- handshake-progress -----------------------------------------------------
 //
-// The liveness half of the Dekker pair [mc:handshake]: the scheduler
-// publishes a wake deadline D and parks until every computing rank's clock
-// lower bound exceeds it. Rank threads cross D and then *diverge* (exit
-// while logically still computing — standing in for unbounded host work
-// between engine calls), so the crossing notify is the only thing that can
-// ever wake the scheduler: any interleaving that loses it is a deadlock.
-
-struct ProgressState {
-  checked_atomic<double> threshold{kInf};
-  std::vector<std::unique_ptr<checked_atomic<double>>> clock;
-  checked_mutex mu;
-  checked_condvar sched_cv;
-};
+// The liveness half of the Dekker pair [mc:handshake]: a rank parked at
+// t=10 dispatches and is held back by the computing ranks' clocks. The
+// computing ranks cross 15 and then *diverge* (exit while logically still
+// computing — standing in for unbounded host work between engine calls), so
+// a crossing's dispatch is the only thing that can ever grant the parked
+// rank: any interleaving that loses it is a deadlock.
 
 Model make_handshake_progress(Bug bug, int ranks) {
   const int computing = ranks > 1 ? ranks - 1 : 1;
   Model m;
   m.name = "handshake-progress";
-  m.actor_names = {"sched"};
+  m.actor_names = {"parked"};
   for (int i = 0; i < computing; ++i) {
     m.actor_names.push_back("rank" + std::to_string(i));
   }
   m.make = [bug, computing](Executor&) {
-    auto st = std::make_shared<ProgressState>();
-    for (int i = 0; i < computing; ++i) {
-      st->clock.push_back(std::make_unique<checked_atomic<double>>(0.0));
-    }
-    constexpr double kDeadline = 10.0;
-
+    // Rank `computing` is the parked one; ranks 0..computing-1 compute.
+    auto st = std::make_shared<DispatchState>(computing + 1, bug);
+    st->expected = {computing};
+    st->clk(computing).store(10.0, std::memory_order_seq_cst);
     std::vector<Executor::ThreadFn> fns;
-    fns.push_back([st, bug, computing] {
-      std::unique_lock<checked_mutex> lk(st->mu);
-      if (bug == Bug::kNoRecheck) {
-        // BUG: publishes the deadline but never re-reads the clocks, so it
-        // proceeds on stale information (the order scenario shows the
-        // matching safety failure; here the variant simply never parks).
-        st->threshold.store(kDeadline, publish_order(bug));
-      } else {
-        for (;;) {
-          st->threshold.store(kDeadline, publish_order(bug));
-          double min_lb = kInf;
-          for (int i = 0; i < computing; ++i) {
-            min_lb = std::min(
-                min_lb, st->clock[static_cast<std::size_t>(i)]->load(
-                            std::memory_order_seq_cst));
-          }
-          if (min_lb > kDeadline) break;
-          st->sched_cv.wait(lk);
-        }
-      }
-      st->threshold.store(kInf, std::memory_order_seq_cst);
+    fns.push_back([st, computing] {
+      st->arrive(computing, 10.0);
+      st->leave(computing, kDone);
     });
     for (int i = 0; i < computing; ++i) {
-      fns.push_back([st, bug, i] {
-        // op_compute fast path [mc:handshake], then divergence.
-        st->clock[static_cast<std::size_t>(i)]->store(15.0,
-                                                      clock_order(bug));
-        const double t = st->threshold.load(std::memory_order_seq_cst);
-        if (bug != Bug::kNoCrossingNotify && 15.0 >= t) {
-          std::unique_lock<checked_mutex> lk(st->mu);
-          st->sched_cv.notify_one();
-        }
-      });
+      fns.push_back([st, i] { st->compute(i, 15.0); });
     }
+    return fns;
+  };
+  return m;
+}
+
+// --- handshake-race ---------------------------------------------------------
+//
+// Two threads race to dispatch the same grant [mc:handshake]. Rank 0 was
+// granted at t=12 and leaves its op at t=14; rank 1 computes from 12.5 past
+// every horizon to t=40 (then diverges); rank 2 arrives at t=13 while rank 0
+// is still granted. The leaving rank's dispatch and rank 1's crossing race:
+// either the leaver sees rank 1's crossed clock or rank 1 sees the horizon
+// the leaver published — never neither (a lost grant). An arrival while a
+// rank is granted must not grant a second one (the double-grant seeded bug
+// does). Rank 0 then computes to t=30 and arrives there, so the grants go
+// to rank 2 and then rank 0, one at a time.
+
+Model make_handshake_race(Bug bug) {
+  Model m;
+  m.name = "handshake-race";
+  m.actor_names = {"leaver", "crosser", "arriver"};
+  m.make = [bug](Executor&) {
+    auto st = std::make_shared<DispatchState>(3, bug);
+    st->expected = {2, 0};
+    st->st(0).write(kRunning);
+    st->clk(0).store(14.0, std::memory_order_seq_cst);
+    st->clk(1).store(12.5, std::memory_order_seq_cst);
+    st->clk(2).store(13.0, std::memory_order_seq_cst);
+    std::vector<Executor::ThreadFn> fns;
+    fns.push_back([st] {
+      st->leave(0, kComputing);
+      st->compute(0, 30.0);
+      st->arrive(0, 30.0);
+      st->leave(0, kDone);
+    });
+    fns.push_back([st] { st->compute(1, 40.0); });
+    fns.push_back([st] {
+      st->arrive(2, 13.0);
+      st->leave(2, kDone);
+    });
     return fns;
   };
   return m;
@@ -273,16 +317,17 @@ Model make_recv_fastpath(Bug bug, int ranks) {
 //
 // hostperf::ComputeSlots composed with the grant half of the handshake
 // [mc:slot-pool]: rank i acquires a slot, computes to T_i = 5*(i+1),
-// arrives, RELEASES THE SLOT BEFORE PARKING for its grant, and the
-// scheduler grants strictly in (time, id) order, held back by the computing
-// ranks' clock lower bounds (a slot-blocked rank counts as computing with a
-// stale clock, which is exactly why a parked slot-holder deadlocks the
-// pool). An `active` counter proves at most `slots` ranks compute at once.
-// The Dekker publish/crossing-notify half is proved separately and
-// exhaustively by the two handshake models; folding it in here multiplies
-// the interleaving space by orders of magnitude without adding a behavior
-// those models do not already cover, so this model relies on the arrival
-// notify alone (every rank arrives, so the scheduler is always rewoken).
+// RELEASES THE SLOT BEFORE PARKING for its grant, arrives and dispatches;
+// grants go strictly in (time, id) order, held back by the computing ranks'
+// clock lower bounds (a slot-blocked rank counts as computing with a stale
+// clock, which is exactly why a parked slot-holder deadlocks the pool), and
+// each granted rank exits through a dispatch that grants the next. An
+// `active` counter proves at most `slots` ranks compute at once. The
+// crossing half of the Dekker pair is proved separately and exhaustively by
+// the handshake models; folding it in here multiplies the interleaving
+// space by orders of magnitude without adding a behavior those models do
+// not already cover, so the compute segment only stores its clock (every
+// rank arrives, and every arrival dispatches).
 
 struct SlotState {
   // hostperf::ComputeSlots
@@ -290,33 +335,21 @@ struct SlotState {
   checked_condvar scv;
   var<int> free{0};
   var<int> active{0};
-  // ClusterImpl handshake (grant half)
-  std::vector<std::unique_ptr<checked_atomic<double>>> clock;
-  checked_mutex mu;
-  checked_condvar sched_cv;
-  std::vector<std::unique_ptr<checked_condvar>> rank_cv;
-  std::vector<std::unique_ptr<var<int>>> state;  // 0 computing, 1 ready, 2 done
-  std::vector<std::unique_ptr<var<double>>> rtime;
-  std::vector<std::unique_ptr<var<int>>> granted;
+  DispatchState engine;
+
+  SlotState(int ranks, Bug bug) : engine(ranks, bug) {}
 };
 
 Model make_slot_pool(Bug bug, int ranks, int slots) {
   Model m;
   m.name = "slot-pool";
-  m.actor_names = {"sched"};
   for (int i = 0; i < ranks; ++i) {
     m.actor_names.push_back("rank" + std::to_string(i));
   }
   m.make = [bug, ranks, slots](Executor&) {
-    auto st = std::make_shared<SlotState>();
+    auto st = std::make_shared<SlotState>(ranks, bug);
     st->free.write(slots);
-    for (int i = 0; i < ranks; ++i) {
-      st->clock.push_back(std::make_unique<checked_atomic<double>>(0.0));
-      st->rank_cv.push_back(std::make_unique<checked_condvar>());
-      st->state.push_back(std::make_unique<var<int>>(0));
-      st->rtime.push_back(std::make_unique<var<double>>(0.0));
-      st->granted.push_back(std::make_unique<var<int>>(0));
-    }
+    for (int i = 0; i < ranks; ++i) st->engine.expected.push_back(i);
 
     const auto release_slot = [st, bug] {
       std::unique_lock<checked_mutex> slk(st->smu);
@@ -325,59 +358,9 @@ Model make_slot_pool(Bug bug, int ranks, int slots) {
     };
 
     std::vector<Executor::ThreadFn> fns;
-    fns.push_back([st, ranks, slots] {
-      std::unique_lock<checked_mutex> lk(st->mu);
-      double prev_t = -kInf;
-      int prev_id = -1;
-      for (int g = 0; g < ranks; ++g) {
-        double horizon;
-        int best;
-        for (;;) {
-          // One snapshot pass over the rank states: mu is held, so no rank
-          // can arrive or be granted while we scan (re-reading would only
-          // pad the interleaving space, not the behaviors).
-          horizon = kInf;
-          best = -1;
-          unsigned computing = 0;
-          for (int i = 0; i < ranks; ++i) {
-            const auto idx = static_cast<std::size_t>(i);
-            const int s = st->state[idx]->read();
-            if (s == 1) {
-              const double t = st->rtime[idx]->read();
-              if (t < horizon) {
-                horizon = t;
-                best = i;
-              }
-            } else if (s == 0) {
-              computing |= 1u << i;
-            }
-          }
-          double min_lb = kInf;
-          for (int i = 0; i < ranks; ++i) {
-            if ((computing & (1u << i)) == 0) continue;
-            min_lb = std::min(
-                min_lb, st->clock[static_cast<std::size_t>(i)]->load(
-                            std::memory_order_seq_cst));
-          }
-          if (best >= 0 && min_lb > horizon) break;
-          st->sched_cv.wait(lk);
-        }
-        model_check(horizon > prev_t || (horizon == prev_t && best > prev_id),
-                    "grant order regressed in (time, id)");
-        model_check(best == g, "grant does not match (time, id) order");
-        prev_t = horizon;
-        prev_id = best;
-        const auto idx = static_cast<std::size_t>(best);
-        st->state[idx]->write(2);
-        st->granted[idx]->write(1);
-        st->rank_cv[idx]->notify_one();
-      }
-      (void)slots;
-    });
     for (int i = 0; i < ranks; ++i) {
       fns.push_back([st, bug, i, slots, release_slot] {
         const double t_i = 5.0 * (i + 1);
-        const auto idx = static_cast<std::size_t>(i);
         // ComputeSlots::acquire [mc:slot-pool].
         {
           std::unique_lock<checked_mutex> slk(st->smu);
@@ -389,10 +372,9 @@ Model make_slot_pool(Bug bug, int ranks, int slots) {
           model_check(a <= slots, "more ranks computing than compute slots");
         }
         if (bug == Bug::kEarlyRelease) release_slot();  // BUG
-        // Compute segment: publish the clock lower bound the scheduler's
-        // grant re-check reads (the crossing notify itself is covered by the
-        // handshake models; here the arrival notify below rewakes sched).
-        st->clock[idx]->store(t_i, std::memory_order_seq_cst);
+        // Compute segment: publish the clock lower bound the dispatch's
+        // re-check reads.
+        st->engine.clk(i).store(t_i, std::memory_order_seq_cst);
         // enter_op [mc:slot-pool]: leave the compute segment and release the
         // slot BEFORE parking, so the pool keeps flowing while this rank
         // waits for its grant (one smu section — it is one in hostperf too).
@@ -404,15 +386,8 @@ Model make_slot_pool(Bug bug, int ranks, int slots) {
             if (bug != Bug::kLostRelease) st->scv.notify_one();
           }
         }
-        {
-          std::unique_lock<checked_mutex> lk(st->mu);
-          st->state[idx]->write(1);
-          st->rtime[idx]->write(t_i);
-          st->sched_cv.notify_one();
-          while (st->granted[idx]->read() == 0) {
-            st->rank_cv[idx]->wait(lk);
-          }
-        }
+        st->engine.arrive(i, t_i);
+        st->engine.leave(i, kDone);
         if (bug == Bug::kHoldWhileParked) release_slot();  // BUG: too late
       });
     }
@@ -445,6 +420,7 @@ const char* bug_name(Bug b) {
     case Bug::kEarlyRelease: return "early-release";
     case Bug::kHoldWhileParked: return "hold-while-parked";
     case Bug::kLostRelease: return "lost-release";
+    case Bug::kDoubleGrant: return "double-grant";
   }
   return "?";
 }
@@ -465,7 +441,7 @@ bool parse_bug(const std::string& s, Bug* out) {
        {Bug::kNone, Bug::kWeakPublish, Bug::kWeakClock, Bug::kNoRecheck,
         Bug::kStrictCompare, Bug::kNoCrossingNotify, Bug::kRecheckGap,
         Bug::kPlainMailbox, Bug::kEarlyRelease, Bug::kHoldWhileParked,
-        Bug::kLostRelease}) {
+        Bug::kLostRelease, Bug::kDoubleGrant}) {
     if (s == bug_name(b)) {
       *out = b;
       return true;
@@ -478,7 +454,8 @@ std::vector<Model> build_models(const ModelConfig& cfg) {
   switch (cfg.protocol) {
     case Protocol::kHandshake:
       return {make_handshake_order(cfg.bug, cfg.ranks),
-              make_handshake_progress(cfg.bug, cfg.ranks)};
+              make_handshake_progress(cfg.bug, cfg.ranks),
+              make_handshake_race(cfg.bug)};
     case Protocol::kRecvFastpath:
       return {make_recv_fastpath(cfg.bug, cfg.ranks)};
     case Protocol::kSlotPool:
@@ -491,10 +468,10 @@ const std::vector<SeededBug>& seeded_bug_corpus() {
   static const std::vector<SeededBug> kCorpus = {
       {Bug::kWeakPublish, Protocol::kHandshake, "handshake/weak-publish",
        "sched_threshold published relaxed: the store parks in the "
-       "scheduler's buffer and the crossing rank reads a stale threshold"},
+       "dispatcher's buffer and the crossing rank reads a stale threshold"},
       {Bug::kWeakClock, Protocol::kHandshake, "handshake/weak-clock",
-       "rank clock stored relaxed: the scheduler's re-check reads a stale "
-       "clock and parks with the notify already spent"},
+       "rank clock stored relaxed: the dispatch's re-check reads a stale "
+       "clock and holds the grant with the crossing already spent"},
       {Bug::kNoRecheck, Protocol::kHandshake, "handshake/no-recheck",
        "no clock re-read after publishing: grants race the computing rank"},
       {Bug::kStrictCompare, Protocol::kHandshake, "handshake/strict-compare",
@@ -502,8 +479,11 @@ const std::vector<SeededBug>& seeded_bug_corpus() {
        "the wrong rank"},
       {Bug::kNoCrossingNotify, Protocol::kHandshake,
        "handshake/no-crossing-notify",
-       "compute fast path never notifies: the parked scheduler is never "
-       "woken by a rank crossing the threshold"},
+       "compute fast path never dispatches: a grant held back on a "
+       "computing clock is lost when that rank crosses the threshold"},
+      {Bug::kDoubleGrant, Protocol::kHandshake, "handshake/double-grant",
+       "dispatch ignores a rank that is already kRunning: a second rank is "
+       "granted while the first is still inside its op"},
       {Bug::kRecheckGap, Protocol::kRecvFastpath, "recv-fastpath/recheck-gap",
        "lock dropped between mailbox scan and park: a delivery in the "
        "window is lost"},

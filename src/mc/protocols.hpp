@@ -8,19 +8,22 @@
 /// The corresponding code paths are annotated with matching `[mc:<model>]`
 /// comments so model and code can be diffed when either changes.
 ///
-///  handshake      The scheduler/compute Dekker handshake (sched_threshold
-///                 publish racing the ranks' clock stores). Two scenarios:
+///  handshake      The dispatch/compute Dekker handshake (the horizon publish
+///                 in Cluster::dispatch_locked racing the ranks' clock
+///                 stores), with no scheduler actor: every rank thread that
+///                 changes engine state dispatches. Three scenarios:
 ///                 "handshake-order" proves grant order in (virtual time,
-///                 rank id) plus monotone clock lower bounds on a terminating
-///                 run with a tie; "handshake-progress" proves the crossing
-///                 notify cannot be lost, using a diverging-compute
-///                 abstraction (the rank thread exits while logically still
-///                 computing, standing in for unbounded host work) so a
-///                 missed wakeup is a reachable deadlock.
+///                 rank id) on a terminating run with a tie;
+///                 "handshake-progress" proves a crossing's dispatch cannot
+///                 be lost, using a diverging-compute abstraction (the rank
+///                 thread exits while logically still computing, standing in
+///                 for unbounded host work) so a missed grant is a reachable
+///                 deadlock; "handshake-race" races a leaving rank's
+///                 dispatch against a crossing rank's for the same grant.
 ///  recv-fastpath  Comm::recv's locked mailbox fast path: scan and park must
 ///                 happen under one hold of eng.mu or a delivery's notify is
 ///                 lost.
-///  slot-pool      hostperf::ComputeSlots composed with the full handshake:
+///  slot-pool      hostperf::ComputeSlots composed with the dispatch:
 ///                 a rank must release its compute slot before parking for a
 ///                 grant, release must notify, and at most `slots` ranks may
 ///                 compute at once.
@@ -50,7 +53,7 @@ enum class Bug {
   kWeakClock,         ///< rank clock stored relaxed, not seq_cst
   kNoRecheck,         ///< no clock re-read after publishing the threshold
   kStrictCompare,     ///< min_lb < horizon instead of <= (ties race)
-  kNoCrossingNotify,  ///< compute fast path never notifies the scheduler
+  kNoCrossingNotify,  ///< compute fast path never dispatches on a crossing
   // recv-fastpath
   kRecheckGap,    ///< lock dropped between mailbox scan and cv wait
   kPlainMailbox,  ///< mailbox scanned without holding eng.mu
@@ -58,6 +61,8 @@ enum class Bug {
   kEarlyRelease,     ///< slot released before the compute segment finishes
   kHoldWhileParked,  ///< rank parks for its grant still holding the slot
   kLostRelease,      ///< slot release skips the cv notify
+  // handshake (dispatch)
+  kDoubleGrant,  ///< dispatch grants while another rank is kRunning
 };
 
 const char* protocol_name(Protocol p);
@@ -72,8 +77,8 @@ struct ModelConfig {
   int slots = 1;  ///< compute slots (slot-pool only, 1-2)
 };
 
-/// Build the model(s) for a protocol variant. The handshake expands to both
-/// of its scenarios; the others yield one model each.
+/// Build the model(s) for a protocol variant. The handshake expands to its
+/// three scenarios; the others yield one model each.
 std::vector<Model> build_models(const ModelConfig& cfg);
 
 /// One entry of the seeded-bug corpus: exploring `protocol` with `bug` must

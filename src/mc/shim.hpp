@@ -2,7 +2,7 @@
 
 /// bladed::mc — concurrency-primitive shims for the model checker.
 ///
-/// The engine's concurrency protocols (the simnet scheduler handshake, the
+/// The engine's concurrency protocols (the simnet grant handshake, the
 /// recv fast path, the hostperf slot pool) are written against `mc::atomic`,
 /// `mc::mutex`, `mc::condvar` instead of the std types. In production builds
 /// (BLADED_MC undefined) these aliases *are* the std types — zero overhead,

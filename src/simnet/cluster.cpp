@@ -22,21 +22,26 @@
 // the hostperf::ComputeSlots pool; a rank's atomic clock is then a monotonic
 // *lower bound* on the virtual time of its next engine transition (user code
 // only advances it, via Comm::compute). Every engine op is an arrive/grant
-// point: the rank frees its compute slot, parks as kReady and waits for the
-// scheduler, which admits parked ranks one at a time ordered by
-// (virtual time, rank id) — and only once no still-computing rank could
-// arrive at or before that time (its clock lower bound exceeds the grant
-// horizon). All shared mutations (link timeline, mailboxes, fault trace,
-// message ids) happen inside granted sections, so their order is a pure
-// function of virtual time: bit-identical at any host_threads, and identical
-// to the historical serial engine, whose scheduler picked the same
-// (time, id) order with the arriving rank winning ties against wakes.
+// point: the rank frees its compute slot and parks as kReady. Parked ranks
+// are admitted one at a time ordered by (virtual time, rank id) — and only
+// once no still-computing rank could arrive at or before that time (its
+// clock lower bound exceeds the grant horizon). There is no scheduler
+// thread: the grant decision is one routine, dispatch_locked(), run under
+// the engine lock by whichever rank thread changes engine state (arrives,
+// leaves, blocks, exits, or computes past the published horizon), so an
+// arriving rank that is next in order continues without sleeping and a
+// leaving rank hands the engine straight to its successor. All shared
+// mutations (link timeline, mailboxes, fault trace, message ids) happen
+// inside granted sections, so their order is a pure function of virtual
+// time: bit-identical at any host_threads, and identical to the historical
+// serial engine, which picked the same (time, id) order with the arriving
+// rank winning ties against wakes.
 //
 // The handshake below is written against the mc:: shims (mc/shim.hpp): in
 // production builds they are the plain std types; under -DBLADED_MC=ON they
 // route through the bladed-mc model checker. Accesses carrying proof
 // obligations are tagged with the protocol model that covers them:
-//   [mc:handshake]     src/mc/protocols.cpp handshake-order / -progress
+//   [mc:handshake]     src/mc/protocols.cpp handshake-order/-progress/-race
 //   [mc:recv-fastpath] recv-fastpath model (lock-gated mailbox scan)
 //   [mc:slot-pool]     slot-pool model (+ hostperf::ComputeSlots)
 
@@ -56,8 +61,8 @@ struct Cluster::Rank {
   mc::condvar cv;
   State state = State::kIdle;
   /// Virtual clock. Owner-written; lock-free stores from the Comm::compute
-  /// fast path make it a live lower bound the scheduler may read while the
-  /// rank computes (seq_cst on that handshake, relaxed elsewhere).
+  /// fast path make it a live lower bound a dispatching thread may read
+  /// while the rank computes (seq_cst on that handshake, relaxed elsewhere).
   /// [mc:handshake] modeled as the per-rank `clock` cell; the progress
   /// scenario proves the seq_cst store/load pair cannot lose the wakeup.
   mc::atomic<double> clock{0.0};
@@ -87,17 +92,14 @@ struct Cluster::Rank {
 struct ClusterImpl {
   /// [mc:handshake][mc:recv-fastpath] the engine lock (`mu` in the models).
   mc::mutex mu;
-  /// [mc:handshake] `sched_cv` in the models: parked-rank arrivals and
-  /// horizon crossings wake the scheduler through it.
-  mc::condvar sched_cv;
   bool abort = false;
   std::exception_ptr error;
   int barrier_waiting = 0;
   std::uint64_t barrier_epoch = 0;
   std::uint64_t next_msg_id = 0;  ///< FT transport sequence numbers
-  /// Grant horizon the scheduler is currently blocked on: a computing rank
-  /// whose clock crosses it must wake the scheduler (Dekker handshake with
-  /// the lock-free Comm::compute path). kInf = scheduler not waiting on it.
+  /// Grant horizon the last dispatch is held back on: a computing rank whose
+  /// clock crosses it must dispatch (Dekker handshake with the lock-free
+  /// Comm::compute path). kInf = no decision is waiting on a clock.
   /// [mc:handshake] `threshold` in the models; the seeded bug weak-publish
   /// shows any order below seq_cst here is a lost wakeup.
   mc::atomic<double> sched_threshold{kInf};
@@ -194,11 +196,14 @@ void Cluster::abort_cancelled(int r) {
           "request) at rank " + std::to_string(r) + ", t=" +
           std::to_string(me.now())));
     }
-    eng.abort = true;
-    eng.sched_cv.notify_all();
-    for (auto& rk : ranks_) rk->cv.notify_all();
+    abort_locked();
   }
   throw AbortSim{};
+}
+
+void Cluster::abort_locked() {
+  impl_->abort = true;
+  for (auto& rk : ranks_) rk->cv.notify_all();
 }
 
 mc::unique_lock Cluster::enter_op(int r) {
@@ -206,7 +211,7 @@ mc::unique_lock Cluster::enter_op(int r) {
   Rank& me = *ranks_[r];
   if (cancel_requested()) abort_cancelled(r);
   // [mc:slot-pool] Free the compute slot before parking: a slot holder must
-  // never wait on a scheduler grant, or slot waiters could deadlock behind a
+  // never wait on a grant, or slot waiters could deadlock behind a
   // parked holder. The seeded bug hold-while-parked removes this release and
   // the checker wedges the pool.
   if (me.holds_slot) {
@@ -215,7 +220,9 @@ mc::unique_lock Cluster::enter_op(int r) {
   }
   mc::unique_lock lk(eng.mu);
   me.state = State::kReady;
-  eng.sched_cv.notify_one();
+  // [mc:handshake] The arrival dispatches; when this rank is next in
+  // (time, id) order it is granted here and the wait below does not sleep.
+  dispatch_locked();
   me.cv.wait(lk, [&] { return me.state == State::kRunning || eng.abort; });
   if (eng.abort) throw AbortSim{};
   apply_hang_and_crash(r);
@@ -226,10 +233,11 @@ void Cluster::leave_op(int r, mc::unique_lock& lk) {
   ClusterImpl& eng = *impl_;
   Rank& me = *ranks_[r];
   me.state = State::kComputing;
-  eng.sched_cv.notify_one();
+  // [mc:handshake] The leaving rank grants its successor itself.
+  dispatch_locked();
   lk.unlock();
   // [mc:slot-pool] Re-acquire only after dropping the engine lock, so a slot
-  // waiter never blocks the scheduler.
+  // waiter never holds up a dispatch.
   eng.slots.acquire();
   me.holds_slot = true;
 }
@@ -282,6 +290,145 @@ Cluster::Wake Cluster::next_wake(int i) const {
   return w;
 }
 
+void Cluster::dispatch_locked() {
+  ClusterImpl& eng = *impl_;
+  const int n = ranks();
+  // Grant the (time, id)-minimum parked rank — but only once no still-
+  // computing rank could arrive at or before the grant time — or fire the
+  // earliest pending wake deadline (recv timeout, failure detection,
+  // scheduled crash) when it is strictly earlier than every arrival. A fired
+  // wake readies its rank, so the decision is taken again.
+  for (;;) {
+    if (eng.abort) return;
+    // Cancellation point for runs where every rank is parked (nothing
+    // computing on the host) so no rank-side check fires.
+    if (cancel_requested()) {
+      if (!eng.error) {
+        eng.error = std::make_exception_ptr(CancelledError(
+            "simnet: run cancelled (deadline expired or caller abandoned "
+            "the request)"));
+      }
+      abort_locked();
+      return;
+    }
+    int ready = -1;
+    int who = -1;
+    Wake wake{kInf, WakeReason::kTimeout};
+    bool all_done = true;
+    bool computing = false;
+    for (int i = 0; i < n; ++i) {
+      const State s = ranks_[i]->state;
+      // [mc:handshake] One grant at a time: the running rank dispatches
+      // again when it leaves (the double-grant seeded bug skips this test).
+      if (s == State::kRunning) return;
+      if (s != State::kDone) all_done = false;
+      if (s == State::kComputing) {
+        computing = true;
+      } else if (s == State::kReady) {
+        if (ready == -1 || ranks_[i]->now() < ranks_[ready]->now()) ready = i;
+      } else if (s == State::kBlockedRecv || s == State::kBlockedBarrier) {
+        const Wake w = next_wake(i);
+        if (w.t < wake.t) {
+          wake = w;
+          who = i;
+        }
+      }
+    }
+    if (all_done) return;
+
+    const double ready_t = ready != -1 ? ranks_[ready]->now() : kInf;
+    const double horizon = std::min(ready_t, wake.t);
+
+    if (computing) {
+      // [mc:handshake] Dekker handshake with the lock-free Comm::compute
+      // path: publish the horizon, then re-read the computing clocks;
+      // either a computing rank sees the horizon when it crosses it and
+      // dispatches, or we see its advanced clock here. A rank at or below
+      // the horizon could still arrive at an earlier (time, id) point, so
+      // the decision waits for it to arrive or compute past the horizon.
+      // Both sides must be seq_cst (W_threshold here, R_clock below): the
+      // checker refutes weak-publish and weak-clock variants.
+      eng.sched_threshold.store(horizon, std::memory_order_seq_cst);
+      double min_lb = kInf;
+      for (int i = 0; i < n; ++i) {
+        if (ranks_[i]->state == State::kComputing) {
+          min_lb = std::min(
+              min_lb, ranks_[i]->clock.load(std::memory_order_seq_cst));
+        }
+      }
+      // [mc:handshake] Held back: the horizon stays published, and the
+      // rank's arrival or crossing dispatches again and re-reads the clocks
+      // (the no-recheck seeded bug grants without that re-read).
+      if (min_lb <= horizon) return;
+    }
+    eng.sched_threshold.store(kInf, std::memory_order_seq_cst);
+
+    if (ready != -1 && ready_t <= wake.t) {
+      Rank& g = *ranks_[ready];
+      g.state = State::kRunning;
+      g.cv.notify_one();
+      return;
+    }
+    if (who != -1) {
+      Rank& w = *ranks_[who];
+      w.set_now(std::max(w.now(), wake.t));
+      w.wake_reason = wake.reason;
+      w.state = State::kReady;
+      continue;
+    }
+
+    // Stall: nobody can run and no deadline is pending. Report which
+    // ranks are blocked on what instead of wedging the process.
+    std::string msg = "simnet: no rank can make progress";
+    std::vector<int> dead;
+    char buf[160];
+    for (int i = 0; i < n; ++i) {
+      const Rank& rk = *ranks_[i];
+      switch (rk.state) {
+        case State::kBlockedRecv:
+          if (rk.want_src == kAnySource) {
+            std::snprintf(buf, sizeof buf,
+                          "; rank %d blocked in recv(src=any, tag=%d) "
+                          "since t=%.6g",
+                          i, rk.want_tag, rk.block_start);
+          } else {
+            std::snprintf(buf, sizeof buf,
+                          "; rank %d blocked in recv(src=%d, tag=%d) "
+                          "since t=%.6g",
+                          i, rk.want_src, rk.want_tag, rk.block_start);
+          }
+          msg += buf;
+          break;
+        case State::kBlockedBarrier:
+          std::snprintf(buf, sizeof buf,
+                        "; rank %d blocked in barrier since t=%.6g", i,
+                        rk.block_start);
+          msg += buf;
+          break;
+        case State::kDone:
+          if (rk.dead) {
+            dead.push_back(i);
+            std::snprintf(buf, sizeof buf, "; rank %d crashed at t=%.6g",
+                          i, rk.dead_at);
+            msg += buf;
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    if (!eng.error) {
+      if (!dead.empty()) {
+        eng.error = std::make_exception_ptr(NodeFailureError(msg, dead));
+      } else {
+        eng.error = std::make_exception_ptr(SimulationError(msg));
+      }
+    }
+    abort_locked();
+    return;
+  }
+}
+
 void Cluster::run(const std::function<void(Comm&)>& program) {
   ClusterImpl& eng = *impl_;
   const int n = ranks();
@@ -327,8 +474,7 @@ void Cluster::run(const std::function<void(Comm&)>& program) {
       } catch (...) {
         mc::lock_guard lk(eng.mu);
         if (!eng.error) eng.error = std::current_exception();
-        eng.abort = true;
-        for (auto& r : ranks_) r->cv.notify_all();
+        abort_locked();
       }
       if (me.holds_slot) {
         me.holds_slot = false;
@@ -337,158 +483,9 @@ void Cluster::run(const std::function<void(Comm&)>& program) {
       mc::lock_guard lk(eng.mu);
       me.state = State::kDone;
       me.stats.finish_time = me.now();
-      eng.sched_cv.notify_one();
+      // [mc:handshake] An exit can release ranks held behind this clock.
+      dispatch_locked();
     });
-  }
-
-  // Scheduler: grant parked ranks one at a time in (virtual time, rank id)
-  // order — but only once no still-computing rank could arrive at or before
-  // the grant time — or fire the earliest pending wake deadline (recv
-  // timeout, failure detection, scheduled crash) when it is strictly
-  // earlier than every arrival.
-  {
-    mc::unique_lock lk(eng.mu);
-    for (;;) {
-      if (eng.abort) break;
-      // Scheduler-side cancellation point: covers runs where every rank is
-      // parked (nothing computing on the host) so no rank-side check fires.
-      if (cancel_requested()) {
-        if (!eng.error) {
-          eng.error = std::make_exception_ptr(CancelledError(
-              "simnet: run cancelled (deadline expired or caller abandoned "
-              "the request)"));
-        }
-        eng.abort = true;
-        break;
-      }
-      int ready = -1;
-      bool all_done = true;
-      int computing = 0;
-      for (int i = 0; i < n; ++i) {
-        const State s = ranks_[i]->state;
-        if (s != State::kDone) all_done = false;
-        if (s == State::kComputing) {
-          ++computing;
-        } else if (s == State::kReady &&
-                   (ready == -1 || ranks_[i]->now() < ranks_[ready]->now())) {
-          ready = i;
-        }
-      }
-      if (all_done) break;
-
-      int who = -1;
-      Wake wake{kInf, WakeReason::kTimeout};
-      for (int i = 0; i < n; ++i) {
-        const State s = ranks_[i]->state;
-        if (s != State::kBlockedRecv && s != State::kBlockedBarrier) continue;
-        const Wake w = next_wake(i);
-        if (w.t < wake.t) {
-          wake = w;
-          who = i;
-        }
-      }
-
-      const double ready_t = ready != -1 ? ranks_[ready]->now() : kInf;
-      const double horizon = std::min(ready_t, wake.t);
-
-      if (computing > 0) {
-        // [mc:handshake] Dekker handshake with the lock-free Comm::compute
-        // path: publish the horizon, then re-read the computing clocks;
-        // either a computing rank sees the horizon when it crosses it and
-        // wakes us, or we see its advanced clock here. A rank at or below
-        // the horizon could still arrive at an earlier (time, id) point, so
-        // we must wait for it to arrive or compute past the horizon before
-        // committing. Both sides must be seq_cst (W_threshold here, R_clock
-        // below): the checker refutes weak-publish and weak-clock variants.
-        eng.sched_threshold.store(horizon, std::memory_order_seq_cst);
-        double min_lb = kInf;
-        for (int i = 0; i < n; ++i) {
-          if (ranks_[i]->state == State::kComputing) {
-            min_lb = std::min(
-                min_lb, ranks_[i]->clock.load(std::memory_order_seq_cst));
-          }
-        }
-        if (min_lb <= horizon) {
-          // [mc:handshake] Park with the horizon still published; the
-          // no-recheck seeded bug (granting without re-reading the clocks
-          // after this wait) breaks (time, id) grant order.
-          eng.sched_cv.wait(lk);
-          eng.sched_threshold.store(kInf, std::memory_order_seq_cst);
-          continue;
-        }
-        eng.sched_threshold.store(kInf, std::memory_order_seq_cst);
-      }
-
-      if (ready != -1 && ready_t <= wake.t) {
-        Rank& g = *ranks_[ready];
-        g.state = State::kRunning;
-        g.cv.notify_all();
-        eng.sched_cv.wait(lk, [&] {
-          return ranks_[ready]->state != State::kRunning || eng.abort;
-        });
-        continue;
-      }
-      if (who != -1) {
-        Rank& w = *ranks_[who];
-        w.set_now(std::max(w.now(), wake.t));
-        w.wake_reason = wake.reason;
-        w.state = State::kReady;
-        continue;
-      }
-
-      // Stall: nobody can run and no deadline is pending. Report which
-      // ranks are blocked on what instead of wedging the process.
-      std::string msg = "simnet: no rank can make progress";
-      std::vector<int> dead;
-      char buf[160];
-      for (int i = 0; i < n; ++i) {
-        const Rank& rk = *ranks_[i];
-        switch (rk.state) {
-          case State::kBlockedRecv:
-            if (rk.want_src == kAnySource) {
-              std::snprintf(buf, sizeof buf,
-                            "; rank %d blocked in recv(src=any, tag=%d) "
-                            "since t=%.6g",
-                            i, rk.want_tag, rk.block_start);
-            } else {
-              std::snprintf(buf, sizeof buf,
-                            "; rank %d blocked in recv(src=%d, tag=%d) "
-                            "since t=%.6g",
-                            i, rk.want_src, rk.want_tag, rk.block_start);
-            }
-            msg += buf;
-            break;
-          case State::kBlockedBarrier:
-            std::snprintf(buf, sizeof buf,
-                          "; rank %d blocked in barrier since t=%.6g", i,
-                          rk.block_start);
-            msg += buf;
-            break;
-          case State::kDone:
-            if (rk.dead) {
-              dead.push_back(i);
-              std::snprintf(buf, sizeof buf, "; rank %d crashed at t=%.6g",
-                            i, rk.dead_at);
-              msg += buf;
-            }
-            break;
-          default:
-            break;
-        }
-      }
-      if (!eng.error) {
-        if (!dead.empty()) {
-          eng.error = std::make_exception_ptr(NodeFailureError(msg, dead));
-        } else {
-          eng.error = std::make_exception_ptr(SimulationError(msg));
-        }
-      }
-      eng.abort = true;
-      break;
-    }
-    if (eng.abort) {
-      for (auto& r : ranks_) r->cv.notify_all();
-    }
   }
 
   for (auto& r : ranks_) {
@@ -517,16 +514,16 @@ void Cluster::op_compute(int r, double seconds) {
     if (cancel_requested()) abort_cancelled(r);
     // [mc:handshake] Lock-free fast path (the rank half of the Dekker
     // handshake): advancing our own clock inside a compute region needs no
-    // engine transition — the seq_cst store keeps the scheduler's lower
-    // bound live, and crossing a published grant horizon wakes it (the
-    // notify is taken under the lock so the wakeup cannot be lost; the
+    // engine transition — the seq_cst store keeps this rank's lower bound
+    // live, and crossing a published grant horizon dispatches under the
+    // lock, so the decision held back on this clock cannot be lost (the
     // weak-clock seeded bug relaxes the store and loses it).
     const double t = me.now() + seconds;
     me.clock.store(t, std::memory_order_seq_cst);
     me.stats.compute_seconds += seconds;
     if (t >= eng.sched_threshold.load(std::memory_order_seq_cst)) {
       mc::lock_guard lk(eng.mu);
-      eng.sched_cv.notify_one();
+      dispatch_locked();
     }
     return;
   }
@@ -705,8 +702,8 @@ std::optional<Payload> Cluster::op_recv(
           ? recorder_->on_recv_post(r, src, tag, elem_bytes, elems, me.now())
           : static_cast<std::size_t>(-1);
 
-  // Leave the op from whichever mode we are in: a granted rank hands back
-  // to the scheduler; a fast-path rank just drops the lock (it still holds
+  // Leave the op from whichever mode we are in: a granted rank dispatches
+  // its successor; a fast-path rank just drops the lock (it still holds
   // its compute slot and never left kComputing).
   const auto finish = [&] {
     if (granted) {
@@ -754,7 +751,7 @@ std::optional<Payload> Cluster::op_recv(
     me.recv_deadline = deadline;
     me.block_start = me.now();
     me.state = State::kBlockedRecv;
-    eng.sched_cv.notify_one();
+    dispatch_locked();
     me.cv.wait(lk, [&] { return me.state == State::kRunning || eng.abort; });
     if (eng.abort) throw AbortSim{};
     me.recv_deadline = kInf;
@@ -817,7 +814,7 @@ void Cluster::op_barrier(int r) {
     const std::uint64_t epoch = eng.barrier_epoch;
     me.block_start = me.now();
     me.state = State::kBlockedBarrier;
-    eng.sched_cv.notify_one();
+    dispatch_locked();
     me.cv.wait(lk, [&] {
       return eng.abort ||
              (me.state == State::kRunning &&

@@ -4,12 +4,14 @@
 /// runs a real C++ program on its own thread. Between communication points
 /// ranks execute *concurrently* on a bounded worker pool
 /// (Config::host_threads compute slots); every engine transition — send,
-/// recv, barrier — is an arrive/grant point where the scheduler admits
-/// exactly one rank at a time in (virtual time, rank id) order, and a grant
-/// at time t only fires once no still-computing rank can arrive at or before
-/// t. Host scheduling therefore never decides a Comm match: results, timings
-/// and commcheck traces are reproducible bit-for-bit at any host_threads,
-/// and identical to the historical one-rank-at-a-time engine. Computation
+/// recv, barrier — is an arrive/grant point where exactly one rank at a time
+/// is admitted in (virtual time, rank id) order, and a grant at time t only
+/// fires once no still-computing rank can arrive at or before t. There is no
+/// scheduler thread: whichever rank thread changes engine state takes the
+/// grant decision itself, under the engine lock. Host scheduling therefore
+/// never decides a Comm match: results, timings and commcheck traces are
+/// reproducible bit-for-bit at any host_threads, and identical to the
+/// historical one-rank-at-a-time engine. Computation
 /// advances a rank's clock explicitly (Comm::compute); messages carry real
 /// payloads between ranks while their delivery times come from the
 /// star-switch LinkTimeline model. Payloads are immutable and shared
@@ -185,22 +187,32 @@ class Cluster {
                            std::uint64_t elems);
   void op_collective_end(int r);
 
-  /// Pending deadline for a blocked rank (scheduler's wake plan).
+  /// Pending deadline for a blocked rank (the dispatch's wake plan).
   struct Wake {
     double t;  ///< infinity = nothing pending
     WakeReason reason;
   };
   [[nodiscard]] Wake next_wake(int r) const;
 
-  /// Arrive at an engine transition: free the compute slot, park as kReady
-  /// and sleep until the scheduler grants this rank in (time, id) order.
-  /// Returns holding the engine lock; fault hang/crash effects are applied
-  /// inside the granted section so the executed-fault trace stays in grant
+  /// Arrive at an engine transition: free the compute slot, park as kReady,
+  /// dispatch, and sleep until this rank is granted in (time, id) order —
+  /// by this dispatch (then without sleeping) or a later one. Returns
+  /// holding the engine lock; fault hang/crash effects are applied inside
+  /// the granted section so the executed-fault trace stays in grant
   /// (= virtual-time) order. Throws AbortSim when the simulation aborts.
   [[nodiscard]] mc::unique_lock enter_op(int r);
-  /// Finish a granted op: return to kComputing, wake the scheduler, drop
-  /// the engine lock and re-acquire a compute slot before user code resumes.
+  /// Finish a granted op: return to kComputing, dispatch (granting the next
+  /// rank), drop the engine lock and re-acquire a compute slot before user
+  /// code resumes.
   void leave_op(int r, mc::unique_lock& lk);
+  /// The engine's one scheduling decision (engine lock held), taken by
+  /// every thread that changes engine state: grant the (time, id)-minimum
+  /// ready rank once no computing rank can arrive at or before it, fire the
+  /// earliest due wake, publish the grant horizon a computing clock must
+  /// cross, or report cancellation or a stall. Never sleeps.
+  void dispatch_locked();
+  /// Mark the run aborted and wake every parked rank (engine lock held).
+  void abort_locked();
 
   /// True once Config::cancel fired (cheap relaxed test; null-safe).
   [[nodiscard]] bool cancel_requested() const {

@@ -41,7 +41,7 @@ TEST(DeterminismTest, TraceIsByteIdenticalAcrossHostThreadCounts) {
   // is invisible to the simulation — golden traces recorded at any
   // --host-threads must match the serial engine's byte for byte.
   const std::string serial = treecode_trace(7, 1);
-  for (int host_threads : {2, 8}) {
+  for (int host_threads : {2, 3, 8}) {
     EXPECT_EQ(serial, treecode_trace(7, host_threads))
         << "trace diverged at host_threads=" << host_threads;
   }

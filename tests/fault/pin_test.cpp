@@ -224,8 +224,8 @@ class NpbPin : public ::testing::TestWithParam<int> {
   [[nodiscard]] npb::NpbFaultConfig ft() const { return npb_ft(GetParam()); }
 };
 
-INSTANTIATE_TEST_SUITE_P(HostThreads, NbodyPin, ::testing::Values(1, 3));
-INSTANTIATE_TEST_SUITE_P(HostThreads, NpbPin, ::testing::Values(1, 3));
+INSTANTIATE_TEST_SUITE_P(HostThreads, NbodyPin, ::testing::Values(1, 3, 2, 8));
+INSTANTIATE_TEST_SUITE_P(HostThreads, NpbPin, ::testing::Values(1, 3, 2, 8));
 
 TEST_P(NbodyPin, FaultFree) {
   EXPECT_EQ(pin(treecode::run_parallel_nbody(base())).str(),
@@ -288,7 +288,9 @@ TEST_P(NbodyPin, DegradeAfterCrash) {
 
 TEST_P(NbodyPin, SnapshotFilesAfterCrash) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "bladed_pin_snapshots";
+  // One directory per host-thread count: ctest runs the instances at once.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("bladed_pin_snapshots_ht" + std::to_string(GetParam()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   treecode::FtConfig cfg = ft();

@@ -39,9 +39,10 @@ TEST(McProtocols, BuildModelsCoversEveryProtocol) {
   mc::ModelConfig cfg;
   cfg.protocol = mc::Protocol::kHandshake;
   auto handshake = mc::build_models(cfg);
-  ASSERT_EQ(handshake.size(), 2u);
+  ASSERT_EQ(handshake.size(), 3u);
   EXPECT_EQ(handshake[0].name, "handshake-order");
   EXPECT_EQ(handshake[1].name, "handshake-progress");
+  EXPECT_EQ(handshake[2].name, "handshake-race");
 
   cfg.protocol = mc::Protocol::kRecvFastpath;
   cfg.ranks = 3;
@@ -53,8 +54,8 @@ TEST(McProtocols, BuildModelsCoversEveryProtocol) {
   cfg.protocol = mc::Protocol::kSlotPool;
   auto slot = mc::build_models(cfg);
   ASSERT_EQ(slot.size(), 1u);
-  // 1 scheduler + ranks ranks.
-  EXPECT_EQ(slot[0].actor_names.size(), 4u);
+  // One actor per rank: there is no scheduler actor, ranks dispatch.
+  EXPECT_EQ(slot[0].actor_names.size(), 3u);
 }
 
 TEST(McProtocols, NamesRoundTrip) {
@@ -106,7 +107,7 @@ TEST(McProtocols, WeakClockIsRefutedByALostWakeup) {
   ASSERT_TRUE(r.violation.has_value());
   EXPECT_EQ(r.violation->kind, "lost-wakeup");
   // The counterexample must show the relaxed clock store still buffered
-  // when the scheduler's re-check reads the stale cell.
+  // when the dispatch's re-check reads the stale cell.
   EXPECT_NE(r.schedule.find("buffered"), std::string::npos);
 }
 
@@ -125,6 +126,13 @@ TEST(McProtocols, NoRecheckGrantsOutOfOrder) {
   EXPECT_EQ(r.violation->kind, "assertion");
 }
 
+TEST(McProtocols, DoubleGrantIsRefuted) {
+  const mc::ExploreResult r = explore_bug(
+      mc::Protocol::kHandshake, mc::Bug::kDoubleGrant, "handshake-race");
+  ASSERT_TRUE(r.violation.has_value());
+  EXPECT_EQ(r.violation->kind, "assertion");
+}
+
 TEST(McProtocols, PlainMailboxIsADataRace) {
   const mc::ExploreResult r =
       explore_bug(mc::Protocol::kRecvFastpath, mc::Bug::kPlainMailbox);
@@ -137,7 +145,7 @@ TEST(McProtocols, HoldWhileParkedWedgesThePool) {
       explore_bug(mc::Protocol::kSlotPool, mc::Bug::kHoldWhileParked);
   ASSERT_TRUE(r.violation.has_value());
   // A rank parked for its grant while holding the last slot starves the
-  // other rank, which starves the scheduler's grant loop.
+  // other rank, whose arrival is the dispatch that would grant it.
   EXPECT_TRUE(r.violation->kind == "lost-wakeup" ||
               r.violation->kind == "deadlock");
 }
