@@ -53,7 +53,7 @@ int main() {
   treecode::FtConfig ft;
   ft.base = base;
   ft.checkpoint_every = 2;
-  ft.restart_penalty_seconds = kRepairSeconds;
+  ft.recovery.restart_penalty_seconds = kRepairSeconds;
   const treecode::FtResult clean = treecode::run_parallel_nbody_ft(ft);
   const double t_run = clean.result.elapsed_seconds;
 
@@ -68,7 +68,7 @@ int main() {
        TablePrinter::num(t_run, 4),
        TablePrinter::num(t_run / ref.elapsed_seconds, 2) + "x",
        TablePrinter::num(static_cast<double>(clean.result.bytes), 0),
-       TablePrinter::num(clean.checkpoints, 0)});
+       TablePrinter::num(clean.recovery.checkpoints, 0)});
   bench::print_table(overhead);
 
   // Two executed failures: a node crash at ~35% and ~70% of the run, each
@@ -82,22 +82,21 @@ int main() {
   std::uint64_t crash_sum = 0;
   for (const double frac : {0.35, 0.7}) {
     treecode::FtConfig faulted = ft;
-    faulted.schedule.link_drop(-1, -1, 0.0, 0.25 * t_run, 0.10)
+    faulted.recovery.schedule.link_drop(-1, -1, 0.0, 0.25 * t_run, 0.10)
         .corrupt(-1, -1, 0.05 * t_run, 0.30 * t_run, 0.08)
         .delay(-1, -1, 0.0, 0.20 * t_run, 150e-6, 0.20)
         .crash(static_cast<int>(5 + 11 * frac), frac * t_run);
     const treecode::FtResult r = treecode::run_parallel_nbody_ft(faulted);
-    lost_sum += r.lost_virtual_seconds;
-    crash_sum += r.fault_stats.crashes;
+    const fault::FaultStats& s = r.recovery.fault_stats;
+    lost_sum += r.recovery.lost_virtual_seconds;
+    crash_sum += s.crashes;
     runs.add_row({TablePrinter::num(100.0 * frac, 0) + "% of run",
-                  TablePrinter::num(r.restarts, 0),
-                  TablePrinter::num(r.resumed_from_step, 0),
-                  TablePrinter::num(static_cast<double>(r.fault_stats.drops), 0),
-                  TablePrinter::num(
-                      static_cast<double>(r.fault_stats.crc_rejects), 0),
-                  TablePrinter::num(
-                      static_cast<double>(r.fault_stats.retransmits), 0),
-                  TablePrinter::num(r.lost_virtual_seconds, 1),
+                  TablePrinter::num(r.recovery.restarts, 0),
+                  TablePrinter::num(r.recovery.resumed_from, 0),
+                  TablePrinter::num(static_cast<double>(s.drops), 0),
+                  TablePrinter::num(static_cast<double>(s.crc_rejects), 0),
+                  TablePrinter::num(static_cast<double>(s.retransmits), 0),
+                  TablePrinter::num(r.recovery.lost_virtual_seconds, 1),
                   same_particles(r.result.particles_out, ref.particles_out)
                       ? "yes"
                       : "NO"});
@@ -107,12 +106,12 @@ int main() {
   // Graceful degradation: lose a node for good and finish on the survivors.
   {
     treecode::FtConfig degrade = ft;
-    degrade.schedule.crash(9, 0.5 * t_run);
+    degrade.recovery.schedule.crash(9, 0.5 * t_run);
     degrade.on_node_loss = treecode::NodeLossPolicy::kDegrade;
     const treecode::FtResult r = treecode::run_parallel_nbody_ft(degrade);
     std::printf("degraded finish: %d -> %d ranks, %d restart(s), energy "
                 "drift vs reference %.2e\n\n",
-                kNodes, r.final_ranks, r.restarts,
+                kNodes, r.final_ranks, r.recovery.restarts,
                 std::abs(r.result.kinetic + r.result.potential -
                          (ref.kinetic + ref.potential)));
   }
@@ -122,14 +121,14 @@ int main() {
     npb::NpbFaultConfig nf;
     nf.base.ranks = kNodes;
     nf.base.cpu = &cpu;
-    nf.restart_penalty_seconds = kRepairSeconds;
+    nf.recovery.restart_penalty_seconds = kRepairSeconds;
     const npb::ParallelEpResult ep_ref = npb::run_parallel_ep(nf.base, 16);
-    nf.schedule.crash(3, 0.4 * ep_ref.elapsed_seconds);
+    nf.recovery.schedule.crash(3, 0.4 * ep_ref.elapsed_seconds);
     const npb::ParallelEpFtResult ep =
         npb::run_parallel_ep_ft(nf, /*m=*/16, /*batches=*/4);
     std::printf("EP class-mini under a crash: %d restart(s), %d checkpoints, "
                 "pairs verified: %s\n\n",
-                ep.ft.restarts, ep.ft.checkpoints,
+                ep.recovery.restarts, ep.recovery.checkpoints,
                 ep.ep.global.pairs == (1ULL << 16) ? "yes" : "NO");
   }
 

@@ -39,6 +39,16 @@ bladed_add_bench(npb_parallel)
 bladed_add_bench(roofline_report)
 bladed_add_bench(ops_montecarlo)
 bladed_add_bench(ablation_faultrun)
+# Its stdout is deterministic, so the whole table is gated byte for byte
+# against bench/golden/ablation_faultrun.txt; a change meant to move a
+# number regenerates the golden from the bench's stdout.
+add_test(NAME ablation_faultrun_golden
+         COMMAND ${CMAKE_COMMAND} -DBIN=$<TARGET_FILE:ablation_faultrun>
+                 -DGOLDEN=${CMAKE_SOURCE_DIR}/bench/golden/ablation_faultrun.txt
+                 -DACTUAL=${CMAKE_BINARY_DIR}/ablation_faultrun.stdout
+                 -P ${CMAKE_SOURCE_DIR}/bench/golden.cmake)
+set_tests_properties(ablation_faultrun_golden PROPERTIES
+  TIMEOUT 120 LABELS "bench_golden")
 
 # Serving-layer acceptance bench: saturation backpressure, the seeded chaos
 # wave (deterministic shed/degrade counts + replay), and 2x-overload. Also a

@@ -1,14 +1,15 @@
 #pragma once
 
-/// In-memory coordinated-checkpoint store for the fault-tolerant parallel
-/// drivers. Each rank commits a CRC32-protected blob per checkpoint version;
-/// a version is restartable only when *every* rank committed it (coordinated
-/// checkpointing — the drivers bracket the save with barriers so the blobs
-/// are causally consistent). Loads verify the checksum and refuse damaged
-/// blobs, mirroring the on-disk snapshot format of treecode/io.
+/// Coordinated checkpoint/restart, shared by the three fault-tolerant
+/// drivers (treecode::run_parallel_nbody_ft, npb::run_parallel_{ep,is}_ft):
+/// a CRC32-protected in-memory blob store, the barrier -> commit -> barrier
+/// Coordinator, and run_with_restarts, the one attempt loop. Each driver
+/// supplies only what it saves, what a commit costs and how it resumes.
 
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -16,6 +17,7 @@
 
 #include "common/error.hpp"
 #include "fault/crc32.hpp"
+#include "simnet/cluster.hpp"
 
 namespace bladed::fault {
 
@@ -28,12 +30,6 @@ class CheckpointStore {
   /// CRC-verified load; nullopt if absent or damaged.
   [[nodiscard]] std::optional<std::vector<std::byte>> load(int rank,
                                                            int version) const;
-
-  /// Largest version committed by all of ranks 0..ranks-1, or -1.
-  [[nodiscard]] int last_complete_version(int ranks) const;
-
-  void clear();
-  [[nodiscard]] std::size_t bytes_stored() const;
 
   /// Test hook: flip one byte of a stored blob so load() must reject it.
   void damage(int rank, int version);
@@ -100,5 +96,67 @@ class BlobReader {
   const std::vector<std::byte>& bytes_;
   std::size_t pos_ = 0;
 };
+
+/// Coordinated checkpoints of one fault-tolerant run, shared by its
+/// attempts. Versions are the driver's progress counters (steps, batches,
+/// iterations), so they start at 1. A version is restartable only once
+/// every rank committed it; `version` is that one completion record.
+struct Coordinator {
+  CheckpointStore store;
+  std::atomic<int> version{0};  ///< last complete version (0 = none)
+  std::atomic<int> writers{0};  ///< rank count that wrote it
+  std::atomic<int> count{0};    ///< commits so far
+  std::atomic<double> last_commit_time{0.0};  ///< within the current attempt
+
+  /// Two-barrier commit of version `v`: a barrier quiesces the ranks, each
+  /// runs `save` (store its state, charge the write), and after a second
+  /// barrier rank 0 records `v` complete.
+  void commit(simnet::Comm& comm, int v, const std::function<void()>& save);
+  /// commit() of this rank's `blob` to the store, free of charge.
+  void commit(simnet::Comm& comm, int v, std::vector<std::byte> blob);
+  /// `rank`'s blob of the last complete version, if any and undamaged.
+  [[nodiscard]] std::optional<std::vector<std::byte>> load(int rank) const;
+};
+
+enum class NodeLossPolicy {
+  kReplace,  ///< restart on the same rank count (crashed node swapped out)
+  kDegrade,  ///< restart on the surviving ranks only (graceful degradation)
+};
+
+/// Fault plan and restart budget of a fault-tolerant run.
+struct RecoveryConfig {
+  FaultSchedule schedule{};  ///< absolute run-timeline fault events
+  TransportPolicy transport{};
+  std::uint64_t fault_seed = 1;
+  /// Modelled time to detect + reboot/replace + redeploy after a failure,
+  /// charged once per restart on the virtual timeline.
+  double restart_penalty_seconds = 1.0;
+  int max_restarts = 8;  ///< exceeded => the last FaultError is rethrown
+};
+
+/// Recovery bookkeeping accumulated across the attempts of a run: the
+/// executed input to the paper's Table 5 DTC model.
+struct RecoveryReport {
+  int attempts = 1;  ///< 1 = ran through with no restart
+  int restarts = 0;
+  int checkpoints = 0;    ///< committed coordinated checkpoints
+  int resumed_from = -1;  ///< resume point of the last restart (-1 = none)
+  double total_virtual_seconds = 0.0;  ///< all attempts + penalties
+  /// Failed-attempt time past the last commit, plus restart penalties.
+  double lost_virtual_seconds = 0.0;
+  FaultStats fault_stats;
+  std::vector<ExecutedFault> fault_trace;
+  std::vector<int> failed_nodes;  ///< logical rank ids, in failure order
+};
+
+/// Runs attempts until one completes, each on a fresh `cluster` (under
+/// kDegrade, minus every node lost so far) whose fault plan is shifted by
+/// the virtual time already consumed, so repaired failures do not re-fire.
+/// `attempt` runs the rank program, resuming from `ck`, and returns the
+/// point it resumed from. Rethrows the FaultError past `max_restarts`.
+[[nodiscard]] RecoveryReport run_with_restarts(
+    const RecoveryConfig& cfg, Coordinator& ck, simnet::Cluster::Config cluster,
+    NodeLossPolicy on_node_loss,
+    const std::function<int(simnet::Cluster&)>& attempt);
 
 }  // namespace bladed::fault

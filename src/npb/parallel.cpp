@@ -1,10 +1,8 @@
 #include "npb/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -279,77 +277,23 @@ simnet::Cluster::Config plain_config(const ParallelNpbConfig& cfg) {
 
 constexpr auto kNoHook = [](int, const auto&) {};
 
-/// Coordinated checkpoints of one FT run, shared by its attempts: ranks
-/// bracket each save with barriers, so a version is complete once rank 0
-/// commits it.
-struct Checkpoints {
-  fault::CheckpointStore store;
-  std::atomic<int> committed{0};  ///< last complete version (0 = none)
-  std::atomic<int> count{0};
-  std::atomic<double> last_commit_time{0.0};  ///< within the current attempt
-
-  void commit(simnet::Comm& comm, int version, std::vector<std::byte> blob) {
-    comm.barrier();
-    store.save(comm.rank(), version, std::move(blob));
-    comm.barrier();
-    if (comm.rank() == 0) {
-      committed.store(version);
-      count.fetch_add(1);
-      last_commit_time.store(comm.now());
-    }
-  }
-
-  /// This rank's blob of the last complete version, if there is one.
-  [[nodiscard]] std::optional<std::vector<std::byte>> resume(int rank) const {
-    if (committed.load() <= 0) return std::nullopt;
-    return store.load(rank, committed.load());
-  }
-};
-
-/// Runs `program` under the fault plan until an attempt completes, each
-/// restart shifting the plan by the virtual time already consumed; hands
-/// the completed attempt's cluster to `on_success`.
-template <class Program, class OnSuccess>
-NpbFtReport run_with_restarts(const NpbFaultConfig& cfg, Checkpoints& ck,
-                              const Program& program, OnSuccess&& on_success) {
-  BLADED_REQUIRE(cfg.max_restarts >= 0);
-  NpbFtReport ft;
-  double consumed = 0.0;
-  for (;;) {
-    fault::FaultPlan plan;
-    plan.enabled = true;
-    plan.schedule = cfg.schedule;
-    plan.transport = cfg.transport;
-    plan.seed = cfg.fault_seed;
-    plan.time_offset = consumed;
-    simnet::Cluster cluster({.ranks = cfg.base.ranks,
-                             .network = cfg.base.network,
-                             .fault = plan,
-                             .host_threads = cfg.base.host_threads});
-    ck.last_commit_time.store(0.0);
-    if (ft.restarts > 0) ft.resumed_from = ck.committed.load();
-
-    try {
-      cluster.run(program);
-    } catch (const FaultError&) {
-      const double elapsed = cluster.elapsed_seconds();
-      consumed += elapsed + cfg.restart_penalty_seconds;
-      ft.lost_virtual_seconds += (elapsed - ck.last_commit_time.load()) +
-                                 cfg.restart_penalty_seconds;
-      ft.fault_stats += cluster.fault_stats();
-      if (ft.restarts >= cfg.max_restarts) throw;
-      ++ft.restarts;
-      ++ft.attempts;
-      continue;
-    }
-
-    consumed += cluster.elapsed_seconds();
-    ft.fault_stats += cluster.fault_stats();
-    ft.total_virtual_seconds = consumed;
-    ft.checkpoints = ck.count.load();
-    on_success(cluster);
-    return ft;
-  }
+/// Runs `program` under cfg's fault plan until an attempt completes and
+/// stores that attempt's result. The kernels restart on the full rank count
+/// and report the committed version they resumed from.
+template <class Run, class Result>
+fault::RecoveryReport run_ft(const NpbFaultConfig& cfg, fault::Coordinator& ck,
+                             const Run& run, Result& result,
+                             const std::function<void(simnet::Comm&)>& program) {
+  return fault::run_with_restarts(
+      cfg.recovery, ck,
+      {.ranks = cfg.base.ranks, .network = cfg.base.network,
+       .host_threads = cfg.base.host_threads},
+      fault::NodeLossPolicy::kReplace, [&](simnet::Cluster& cluster) {
+        const int from = ck.version.load();
+        cluster.run(program);
+        result = run.result(cluster);
+        return from;
+      });
 }
 
 }  // namespace
@@ -375,25 +319,23 @@ ParallelIsResult run_parallel_is(const ParallelNpbConfig& cfg, int n_log2,
 ParallelEpFtResult run_parallel_ep_ft(const NpbFaultConfig& cfg, int m,
                                       int batches, std::uint64_t seed) {
   EpRun run = ep_run(cfg.base, m, seed, batches);
-  Checkpoints ck;
+  fault::Coordinator ck;
   ParallelEpFtResult out;
-  out.ft = run_with_restarts(
-      cfg, ck,
-      [&](simnet::Comm& comm) {
-        EpResult acc;
-        int start = 0;
-        const auto blob = ck.resume(comm.rank());
-        if (blob && blob->size() == sizeof(EpResult)) {
-          std::memcpy(&acc, blob->data(), sizeof(EpResult));
-          start = ck.committed.load();
-        }
-        run.rank(comm, start, acc, [&](int done, const EpResult& partial) {
-          std::vector<std::byte> b(sizeof(EpResult));
-          std::memcpy(b.data(), &partial, sizeof(EpResult));
-          ck.commit(comm, done, std::move(b));
-        });
-      },
-      [&](const simnet::Cluster& cluster) { out.ep = run.result(cluster); });
+  const auto program = [&](simnet::Comm& comm) {
+    EpResult acc;
+    int start = 0;
+    const auto blob = ck.load(comm.rank());
+    if (blob && blob->size() == sizeof(EpResult)) {
+      std::memcpy(&acc, blob->data(), sizeof(EpResult));
+      start = ck.version.load();
+    }
+    run.rank(comm, start, acc, [&](int done, const EpResult& partial) {
+      std::vector<std::byte> b(sizeof(EpResult));
+      std::memcpy(b.data(), &partial, sizeof(EpResult));
+      ck.commit(comm, done, std::move(b));
+    });
+  };
+  out.recovery = run_ft(cfg, ck, run, out.ep, program);
   return out;
 }
 
@@ -401,29 +343,27 @@ ParallelIsFtResult run_parallel_is_ft(const NpbFaultConfig& cfg, int n_log2,
                                       int bmax_log2, int iterations,
                                       std::uint64_t seed) {
   IsRun run = is_run(cfg.base, n_log2, bmax_log2, iterations, seed);
-  Checkpoints ck;
+  fault::Coordinator ck;
   ParallelIsFtResult out;
-  out.ft = run_with_restarts(
-      cfg, ck,
-      [&](simnet::Comm& comm) {
-        // Key slice from the last complete checkpoint, else regenerated.
-        const auto [first, last] = block_of(run.n, comm);
-        std::vector<std::uint32_t> keys;
-        int start = 1;
-        const auto blob = ck.resume(comm.rank());
-        if (blob && blob->size() == (last - first) * sizeof(std::uint32_t)) {
-          keys.resize(last - first);
-          std::memcpy(keys.data(), blob->data(), blob->size());
-          start = ck.committed.load() + 1;
-        }
-        run.rank(comm, start, std::move(keys),
-                 [&](int iter, const std::vector<std::uint32_t>& k) {
-                   std::vector<std::byte> b(k.size() * sizeof(std::uint32_t));
-                   std::memcpy(b.data(), k.data(), b.size());
-                   ck.commit(comm, iter, std::move(b));
-                 });
-      },
-      [&](const simnet::Cluster& cluster) { out.is = run.result(cluster); });
+  const auto program = [&](simnet::Comm& comm) {
+    // Key slice from the last complete checkpoint, else regenerated.
+    const auto [first, last] = block_of(run.n, comm);
+    std::vector<std::uint32_t> keys;
+    int start = 1;
+    const auto blob = ck.load(comm.rank());
+    if (blob && blob->size() == (last - first) * sizeof(std::uint32_t)) {
+      keys.resize(last - first);
+      std::memcpy(keys.data(), blob->data(), blob->size());
+      start = ck.version.load() + 1;
+    }
+    run.rank(comm, start, std::move(keys),
+             [&](int iter, const std::vector<std::uint32_t>& k) {
+               std::vector<std::byte> b(k.size() * sizeof(std::uint32_t));
+               std::memcpy(b.data(), k.data(), b.size());
+               ck.commit(comm, iter, std::move(b));
+             });
+  };
+  out.recovery = run_ft(cfg, ck, run, out.is, program);
   return out;
 }
 

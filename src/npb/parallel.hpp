@@ -10,8 +10,7 @@
 /// single-processor; this is the natural next experiment).
 
 #include "arch/processor.hpp"
-#include "fault/fault.hpp"
-#include "fault/injector.hpp"
+#include "fault/checkpoint.hpp"
 #include "npb/ep.hpp"
 #include "npb/is.hpp"
 #include "simnet/network.hpp"
@@ -95,32 +94,17 @@ struct ParallelStencilResult {
 /// block decomposition, so degrading to fewer ranks would invalidate it.
 struct NpbFaultConfig {
   ParallelNpbConfig base;
-  fault::FaultSchedule schedule;  ///< absolute run-timeline fault events
-  fault::TransportPolicy transport;
-  std::uint64_t fault_seed = 1;
-  double restart_penalty_seconds = 0.5;  ///< charged per restart
-  int max_restarts = 8;  ///< exceeded => the last FaultError is rethrown
-};
-
-/// Recovery bookkeeping shared by the FT kernels.
-struct NpbFtReport {
-  int attempts = 1;  ///< 1 = no restart needed
-  int restarts = 0;
-  int checkpoints = 0;         ///< committed coordinated checkpoints
-  int resumed_from = -1;       ///< batch/iteration of the last resume
-  double total_virtual_seconds = 0.0;  ///< all attempts + penalties
-  double lost_virtual_seconds = 0.0;   ///< discarded work + penalties
-  fault::FaultStats fault_stats;       ///< accumulated across attempts
+  fault::RecoveryConfig recovery{.restart_penalty_seconds = 0.5};
 };
 
 struct ParallelEpFtResult {
   ParallelEpResult ep;
-  NpbFtReport ft;
+  fault::RecoveryReport recovery;
 };
 
 struct ParallelIsFtResult {
   ParallelIsResult is;
-  NpbFtReport ft;
+  fault::RecoveryReport recovery;
 };
 
 /// EP under the fault plan: each rank's pair block is processed in

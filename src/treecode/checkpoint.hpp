@@ -1,51 +1,31 @@
 #pragma once
 
-/// Coordinated checkpoint/restart for the parallel treecode driver, run
-/// against the fault-injecting cluster engine. Every `checkpoint_every`
-/// steps the ranks synchronize at a barrier, each commits its particle slice
-/// (positions, velocities, masses — the full dynamical state; forces are
-/// derived and recomputed on restart), and a second barrier marks the
-/// version complete. When an injected failure kills the run, the driver
-/// restarts from the last complete version — on a replacement node
-/// (kReplace, same rank count, bit-identical final state) or on the
-/// survivors (kDegrade, fewer ranks) — shifting the fault schedule by the
-/// virtual time already consumed so repaired failures do not re-fire.
-///
-/// The result separates physics (final particle state) from the economics
-/// the paper's Table 5 needs: total virtual seconds including recovery,
-/// and the virtual seconds actually thrown away (recomputed work plus
-/// restart penalties) — the executed input to the DTC model.
+/// Checkpoint/restart for the parallel treecode driver, on the shared
+/// fault::Coordinator and fault::run_with_restarts. Each commit saves every
+/// rank's particle slice (positions, velocities, masses); a restart
+/// concatenates the slices and re-splits them over the current rank count,
+/// on a replacement node (kReplace: bit-identical final state) or on the
+/// survivors (kDegrade: fewer ranks).
 
 #include <string>
-#include <vector>
 
-#include "fault/fault.hpp"
-#include "fault/injector.hpp"
+#include "fault/checkpoint.hpp"
 #include "treecode/parallel.hpp"
 
 namespace bladed::treecode {
 
-enum class NodeLossPolicy {
-  kReplace,  ///< restart on the same rank count (crashed node swapped out)
-  kDegrade,  ///< restart on the surviving ranks only (graceful degradation)
-};
+using fault::NodeLossPolicy;
 
 struct FtConfig {
   ParallelConfig base;
-  fault::FaultSchedule schedule;  ///< absolute run-timeline fault events
-  fault::TransportPolicy transport;
-  std::uint64_t fault_seed = 1;
+  fault::RecoveryConfig recovery;
   /// Steps between coordinated checkpoints; 0 = never checkpoint (a failure
   /// restarts the run from scratch).
   int checkpoint_every = 4;
   NodeLossPolicy on_node_loss = NodeLossPolicy::kReplace;
-  /// Modelled time to detect + reboot/replace + redeploy after a failure,
-  /// charged once per restart on the virtual timeline.
-  double restart_penalty_seconds = 1.0;
   /// Modelled checkpoint write bandwidth per rank (bytes/s) — each commit
   /// charges blob_bytes / bandwidth of compute time to the writing rank.
   double checkpoint_write_bw = 20e6;
-  int max_restarts = 8;  ///< exceeded => the last FaultError is rethrown
   /// Non-empty: checkpoints go to per-rank binary snapshot files
   /// `<dir>/ck_v<version>_r<rank>.bin` (treecode/io format, FNV-checksummed)
   /// instead of the in-memory CRC32 store.
@@ -55,25 +35,15 @@ struct FtConfig {
 struct FtResult {
   /// Metrics and final particle state of the successful attempt.
   ParallelResult result;
-  int attempts = 1;  ///< 1 = ran through with no restart
-  int restarts = 0;
-  int checkpoints = 0;        ///< committed coordinated checkpoints
-  int resumed_from_step = -1; ///< last restart's resume step (-1 = none)
+  /// `resumed_from` is the step the last restart resumed from: 0 when no
+  /// checkpoint was usable.
+  fault::RecoveryReport recovery;
   int final_ranks = 0;
-  /// Virtual seconds of the whole run: every attempt plus restart
-  /// penalties. >= result.elapsed_seconds, equal when no faults fired.
-  double total_virtual_seconds = 0.0;
-  /// Virtual seconds of discarded work: failed-attempt time past the last
-  /// commit, plus restart penalties. The executed recovery overhead.
-  double lost_virtual_seconds = 0.0;
-  fault::FaultStats fault_stats;  ///< accumulated across attempts
-  std::vector<fault::ExecutedFault> fault_trace;
-  std::vector<int> failed_nodes;  ///< logical rank ids, in failure order
 };
 
 /// Run the parallel N-body simulation to completion under the fault plan,
-/// restarting from checkpoints as needed. Throws the underlying FaultError
-/// if `max_restarts` is exceeded or (kDegrade) no ranks survive.
+/// restarting from checkpoints as needed. Throws the last FaultError once
+/// `max_restarts` is spent, PreconditionError if (kDegrade) no rank survives.
 [[nodiscard]] FtResult run_parallel_nbody_ft(const FtConfig& cfg);
 
 }  // namespace bladed::treecode

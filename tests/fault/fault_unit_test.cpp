@@ -248,19 +248,6 @@ TEST(CheckpointStore, DamagedBlobIsRefused) {
   EXPECT_FALSE(store.load(2, 0).has_value());
 }
 
-TEST(CheckpointStore, CompleteVersionNeedsEveryRank) {
-  CheckpointStore store;
-  EXPECT_EQ(store.last_complete_version(2), -1);
-  store.save(0, 0, blob_of("a"));
-  store.save(1, 0, blob_of("b"));
-  store.save(0, 1, blob_of("c"));  // rank 1 never commits v1
-  EXPECT_EQ(store.last_complete_version(2), 0);
-  store.save(1, 1, blob_of("d"));
-  EXPECT_EQ(store.last_complete_version(2), 1);
-  store.clear();
-  EXPECT_EQ(store.last_complete_version(2), -1);
-}
-
 TEST(CheckpointBlob, WriterReaderRoundTrip) {
   BlobWriter w;
   w.put(42);

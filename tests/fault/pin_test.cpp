@@ -124,18 +124,18 @@ Pin pin(const treecode::ParallelResult& r) {
 
 std::string pin(const treecode::FtResult& r) {
   Pin p = pin(r.result);
-  p.i("attempts", r.attempts)
-      .i("restarts", r.restarts)
-      .i("checkpoints", r.checkpoints)
-      .i("resumed_from", r.resumed_from_step)
+  p.i("attempts", r.recovery.attempts)
+      .i("restarts", r.recovery.restarts)
+      .i("checkpoints", r.recovery.checkpoints)
+      .i("resumed_from", r.recovery.resumed_from)
       .i("final_ranks", r.final_ranks)
-      .f("total", r.total_virtual_seconds)
-      .f("lost", r.lost_virtual_seconds)
-      .fault_stats(r.fault_stats)
-      .u("trace_len", r.fault_trace.size())
-      .u("trace", digest(r.fault_trace));
+      .f("total", r.recovery.total_virtual_seconds)
+      .f("lost", r.recovery.lost_virtual_seconds)
+      .fault_stats(r.recovery.fault_stats)
+      .u("trace_len", r.recovery.fault_trace.size())
+      .u("trace", digest(r.recovery.fault_trace));
   std::string failed;
-  for (int n : r.failed_nodes) failed += std::to_string(n) + ",";
+  for (int n : r.recovery.failed_nodes) failed += std::to_string(n) + ",";
   return p.str() + "failed=" + failed + ";";
 }
 
@@ -165,7 +165,7 @@ Pin pin(const npb::ParallelIsResult& r) {
   return p;
 }
 
-std::string pin(Pin p, const npb::NpbFtReport& ft) {
+std::string pin(Pin p, const fault::RecoveryReport& ft) {
   p.i("attempts", ft.attempts)
       .i("restarts", ft.restarts)
       .i("checkpoints", ft.checkpoints)
@@ -191,7 +191,7 @@ treecode::FtConfig nbody_ft(int host_threads) {
   treecode::FtConfig ft;
   ft.base = nbody_base(host_threads);
   ft.checkpoint_every = 2;
-  ft.restart_penalty_seconds = 0.5;
+  ft.recovery.restart_penalty_seconds = 0.5;
   return ft;
 }
 
@@ -200,7 +200,7 @@ npb::NpbFaultConfig npb_ft(int host_threads) {
   nf.base.ranks = 4;
   nf.base.cpu = &arch::tm5600_633();
   nf.base.host_threads = host_threads;
-  nf.restart_penalty_seconds = 0.1;
+  nf.recovery.restart_penalty_seconds = 0.1;
   return nf;
 }
 
@@ -253,7 +253,7 @@ TEST_P(NbodyPin, CleanFtRun) {
 TEST_P(NbodyPin, ReplaceAfterCrashWithLinkFaults) {
   const double t = ref_elapsed();
   treecode::FtConfig cfg = ft();
-  cfg.schedule.link_drop(-1, -1, 0.0, 0.3 * t, 0.15)
+  cfg.recovery.schedule.link_drop(-1, -1, 0.0, 0.3 * t, 0.15)
       .corrupt(-1, -1, 0.0, 0.3 * t, 0.10)
       .crash(3, 0.6 * t);
   EXPECT_EQ(pin(treecode::run_parallel_nbody_ft(cfg)),
@@ -271,7 +271,7 @@ TEST_P(NbodyPin, ReplaceAfterCrashWithLinkFaults) {
 
 TEST_P(NbodyPin, DegradeAfterCrash) {
   treecode::FtConfig cfg = ft();
-  cfg.schedule.crash(2, 0.5 * ref_elapsed());
+  cfg.recovery.schedule.crash(2, 0.5 * ref_elapsed());
   cfg.on_node_loss = treecode::NodeLossPolicy::kDegrade;
   EXPECT_EQ(pin(treecode::run_parallel_nbody_ft(cfg)),
             "elapsed=0x1.d7f1b1b67e833p-6;compute=0x1.0ae05eee0f4d2p-6;"
@@ -295,7 +295,7 @@ TEST_P(NbodyPin, SnapshotFilesAfterCrash) {
   fs::create_directories(dir);
   treecode::FtConfig cfg = ft();
   cfg.snapshot_dir = dir.string();
-  cfg.schedule.crash(3, 0.85 * ref_elapsed());
+  cfg.recovery.schedule.crash(3, 0.85 * ref_elapsed());
   EXPECT_EQ(pin(treecode::run_parallel_nbody_ft(cfg)),
             "elapsed=0x1.0d07d6b093eecp-6;compute=0x1.02cee6f63df6bp-7;"
             "gflops=0x1.401320c84f43p-2;mflops_proc=0x1.a0c392af7c89fp+5;"
@@ -322,7 +322,7 @@ TEST_P(NpbPin, EpFaultFree) {
 
 TEST_P(NpbPin, EpFtClean) {
   const npb::ParallelEpFtResult r = npb::run_parallel_ep_ft(ft(), 14, 4);
-  EXPECT_EQ(pin(pin(r.ep), r.ft),
+  EXPECT_EQ(pin(pin(r.ep), r.recovery),
             "sx=0x1.f62c6f1d2a192p+6;sy=0x1.0ab99fbd162b6p+7;q=6050;q=5583;"
             "q=1103;q=62;q=1;q=0;q=0;q=0;q=0;q=0;pairs=16384;"
             "accepted=12799;fadd=74750;fmul=136701;fdiv=12799;fsqrt=25598;"
@@ -337,9 +337,9 @@ TEST_P(NpbPin, EpFtClean) {
 TEST_P(NpbPin, EpFtAfterCrash) {
   npb::NpbFaultConfig nf = ft();
   const double t = npb::run_parallel_ep_ft(nf, 14, 4).ep.elapsed_seconds;
-  nf.schedule.crash(1, 0.5 * t);
+  nf.recovery.schedule.crash(1, 0.5 * t);
   const npb::ParallelEpFtResult r = npb::run_parallel_ep_ft(nf, 14, 4);
-  EXPECT_EQ(pin(pin(r.ep), r.ft),
+  EXPECT_EQ(pin(pin(r.ep), r.recovery),
             "sx=0x1.f62c6f1d2a192p+6;sy=0x1.0ab99fbd162b6p+7;q=6050;q=5583;"
             "q=1103;q=62;q=1;q=0;q=0;q=0;q=0;q=0;pairs=16384;"
             "accepted=12799;fadd=74750;fmul=136701;fdiv=12799;fsqrt=25598;"
@@ -360,7 +360,7 @@ TEST_P(NpbPin, IsFaultFree) {
 
 TEST_P(NpbPin, IsFtClean) {
   const npb::ParallelIsFtResult r = npb::run_parallel_is_ft(ft(), 12, 9, 4);
-  EXPECT_EQ(pin(pin(r.is), r.ft),
+  EXPECT_EQ(pin(pin(r.is), r.recovery),
             "keys=4096;sorted=1;perm=1;elapsed=0x1.1f76bb5feaf64p-7;"
             "compute=0x1.3c76e3a772a1p-11;bytes=101664;messages=48;"
             "attempts=1;restarts=0;checkpoints=3;resumed_from=-1;"
@@ -372,9 +372,9 @@ TEST_P(NpbPin, IsFtClean) {
 TEST_P(NpbPin, IsFtAfterCrash) {
   npb::NpbFaultConfig nf = ft();
   const double t = npb::run_parallel_is(nf.base, 12, 9, 4).elapsed_seconds;
-  nf.schedule.crash(2, 0.5 * t);
+  nf.recovery.schedule.crash(2, 0.5 * t);
   const npb::ParallelIsFtResult r = npb::run_parallel_is_ft(nf, 12, 9, 4);
-  EXPECT_EQ(pin(pin(r.is), r.ft),
+  EXPECT_EQ(pin(pin(r.is), r.recovery),
             "keys=4096;sorted=1;perm=1;elapsed=0x1.a8d33dbe51afep-8;"
             "compute=0x1.bf378b3b6725ep-12;bytes=76248;messages=36;"
             "attempts=2;restarts=1;checkpoints=3;resumed_from=1;"

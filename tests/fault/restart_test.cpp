@@ -31,7 +31,7 @@ treecode::FtConfig small_ft() {
   treecode::FtConfig ft;
   ft.base = small_base();
   ft.checkpoint_every = 2;
-  ft.restart_penalty_seconds = 0.5;
+  ft.recovery.restart_penalty_seconds = 0.5;
   return ft;
 }
 
@@ -45,12 +45,13 @@ TEST(TreecodeFt, CleanRunMatchesFaultFreeDriver) {
   const treecode::ParallelResult ref = run_parallel_nbody(small_base());
   const treecode::FtResult ft = run_parallel_nbody_ft(small_ft());
   EXPECT_TRUE(bit_identical(ft.result.particles_out, ref.particles_out));
-  EXPECT_EQ(ft.attempts, 1);
-  EXPECT_EQ(ft.restarts, 0);
-  EXPECT_EQ(ft.checkpoints, 1);  // after step 2 of 4
-  EXPECT_EQ(ft.resumed_from_step, -1);
-  EXPECT_DOUBLE_EQ(ft.lost_virtual_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(ft.total_virtual_seconds, ft.result.elapsed_seconds);
+  EXPECT_EQ(ft.recovery.attempts, 1);
+  EXPECT_EQ(ft.recovery.restarts, 0);
+  EXPECT_EQ(ft.recovery.checkpoints, 1);  // after step 2 of 4
+  EXPECT_EQ(ft.recovery.resumed_from, -1);
+  EXPECT_DOUBLE_EQ(ft.recovery.lost_virtual_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(ft.recovery.total_virtual_seconds,
+                   ft.result.elapsed_seconds);
 }
 
 // The acceptance-criterion differential test: drops + corruption + one node
@@ -61,7 +62,7 @@ TEST(TreecodeFt, RecoveredRunIsBitIdenticalToFaultFree) {
   const double t_ref = ref.elapsed_seconds;
 
   treecode::FtConfig ft = small_ft();
-  ft.schedule.link_drop(-1, -1, 0.0, 0.3 * t_ref, 0.15)
+  ft.recovery.schedule.link_drop(-1, -1, 0.0, 0.3 * t_ref, 0.15)
       .corrupt(-1, -1, 0.0, 0.3 * t_ref, 0.10)
       .crash(3, 0.6 * t_ref);
   const treecode::FtResult r = run_parallel_nbody_ft(ft);
@@ -69,14 +70,16 @@ TEST(TreecodeFt, RecoveredRunIsBitIdenticalToFaultFree) {
   EXPECT_TRUE(bit_identical(r.result.particles_out, ref.particles_out));
   EXPECT_DOUBLE_EQ(r.result.kinetic, ref.kinetic);
   EXPECT_DOUBLE_EQ(r.result.potential, ref.potential);
-  EXPECT_EQ(r.restarts, 1);
-  EXPECT_EQ(r.attempts, 2);
-  EXPECT_EQ(r.fault_stats.crashes, 1u);
-  EXPECT_GE(r.fault_stats.drops + r.fault_stats.crc_rejects, 1u);
-  EXPECT_EQ(r.failed_nodes, std::vector<int>{3});
+  EXPECT_EQ(r.recovery.restarts, 1);
+  EXPECT_EQ(r.recovery.attempts, 2);
+  EXPECT_EQ(r.recovery.fault_stats.crashes, 1u);
+  EXPECT_GE(r.recovery.fault_stats.drops + r.recovery.fault_stats.crc_rejects,
+            1u);
+  EXPECT_EQ(r.recovery.failed_nodes, std::vector<int>{3});
   EXPECT_EQ(r.final_ranks, small_base().ranks);
-  EXPECT_GT(r.total_virtual_seconds, t_ref);  // strictly: recovery costs time
-  EXPECT_GT(r.lost_virtual_seconds, 0.0);
+  // Strictly: recovery costs time.
+  EXPECT_GT(r.recovery.total_virtual_seconds, t_ref);
+  EXPECT_GT(r.recovery.lost_virtual_seconds, 0.0);
 }
 
 // Acceptance-criterion determinism test: the same fault seed must yield a
@@ -84,26 +87,28 @@ TEST(TreecodeFt, RecoveredRunIsBitIdenticalToFaultFree) {
 TEST(TreecodeFt, RecoveryIsDeterministicFromTheSeed) {
   treecode::FtConfig ft = small_ft();
   const treecode::ParallelResult ref = run_parallel_nbody(small_base());
-  ft.schedule.link_drop(-1, -1, 0.0, 0.4 * ref.elapsed_seconds, 0.2)
+  ft.recovery.schedule.link_drop(-1, -1, 0.0, 0.4 * ref.elapsed_seconds, 0.2)
       .crash(1, 0.5 * ref.elapsed_seconds);
-  ft.fault_seed = 99;
+  ft.recovery.fault_seed = 99;
   const treecode::FtResult a = run_parallel_nbody_ft(ft);
   const treecode::FtResult b = run_parallel_nbody_ft(ft);
-  EXPECT_EQ(a.fault_trace, b.fault_trace);
-  EXPECT_GT(a.fault_trace.size(), 0u);
-  EXPECT_DOUBLE_EQ(a.total_virtual_seconds, b.total_virtual_seconds);
-  EXPECT_DOUBLE_EQ(a.lost_virtual_seconds, b.lost_virtual_seconds);
+  EXPECT_EQ(a.recovery.fault_trace, b.recovery.fault_trace);
+  EXPECT_GT(a.recovery.fault_trace.size(), 0u);
+  EXPECT_DOUBLE_EQ(a.recovery.total_virtual_seconds,
+                   b.recovery.total_virtual_seconds);
+  EXPECT_DOUBLE_EQ(a.recovery.lost_virtual_seconds,
+                   b.recovery.lost_virtual_seconds);
   EXPECT_TRUE(bit_identical(a.result.particles_out, b.result.particles_out));
 }
 
 TEST(TreecodeFt, DegradeFinishesOnSurvivingRanks) {
   const treecode::ParallelResult ref = run_parallel_nbody(small_base());
   treecode::FtConfig ft = small_ft();
-  ft.schedule.crash(2, 0.5 * ref.elapsed_seconds);
+  ft.recovery.schedule.crash(2, 0.5 * ref.elapsed_seconds);
   ft.on_node_loss = treecode::NodeLossPolicy::kDegrade;
   const treecode::FtResult r = run_parallel_nbody_ft(ft);
   EXPECT_EQ(r.final_ranks, small_base().ranks - 1);
-  EXPECT_EQ(r.restarts, 1);
+  EXPECT_EQ(r.recovery.restarts, 1);
   // Every particle survives the re-decomposition over fewer ranks.
   EXPECT_EQ(r.result.particles_out.size(), small_base().particles);
   EXPECT_TRUE(std::isfinite(r.result.kinetic + r.result.potential));
@@ -113,20 +118,21 @@ TEST(TreecodeFt, WithoutCheckpointsRestartGoesBackToStepZero) {
   const treecode::ParallelResult ref = run_parallel_nbody(small_base());
   treecode::FtConfig ft = small_ft();
   ft.checkpoint_every = 0;
-  ft.schedule.crash(4, 0.6 * ref.elapsed_seconds);
+  ft.recovery.schedule.crash(4, 0.6 * ref.elapsed_seconds);
   const treecode::FtResult r = run_parallel_nbody_ft(ft);
-  EXPECT_EQ(r.checkpoints, 0);
-  EXPECT_EQ(r.resumed_from_step, 0);
+  EXPECT_EQ(r.recovery.checkpoints, 0);
+  EXPECT_EQ(r.recovery.resumed_from, 0);
   EXPECT_TRUE(bit_identical(r.result.particles_out, ref.particles_out));
   // Scratch restart throws away the whole failed attempt.
-  EXPECT_GT(r.lost_virtual_seconds, 0.5);  // at least the restart penalty
+  // At least the restart penalty.
+  EXPECT_GT(r.recovery.lost_virtual_seconds, 0.5);
 }
 
 TEST(TreecodeFt, ExhaustedRestartBudgetRethrows) {
   const treecode::ParallelResult ref = run_parallel_nbody(small_base());
   treecode::FtConfig ft = small_ft();
-  ft.schedule.crash(0, 0.5 * ref.elapsed_seconds);
-  ft.max_restarts = 0;
+  ft.recovery.schedule.crash(0, 0.5 * ref.elapsed_seconds);
+  ft.recovery.max_restarts = 0;
   EXPECT_THROW((void)run_parallel_nbody_ft(ft), FaultError);
 }
 
@@ -142,11 +148,11 @@ TEST(TreecodeFt, FileSnapshotsSupportRestartAndSurviveDamage) {
   ft.snapshot_dir = dir.string();
   // Late crash: the step-2 checkpoint must be committed by then (the FT run
   // trails the fault-free clock by the framing + checkpoint-write costs).
-  ft.schedule.crash(3, 0.85 * ref.elapsed_seconds);
+  ft.recovery.schedule.crash(3, 0.85 * ref.elapsed_seconds);
   const treecode::FtResult r = run_parallel_nbody_ft(ft);
   EXPECT_TRUE(bit_identical(r.result.particles_out, ref.particles_out));
-  EXPECT_EQ(r.restarts, 1);
-  EXPECT_GT(r.resumed_from_step, 0);  // actually used the snapshot files
+  EXPECT_EQ(r.recovery.restarts, 1);
+  EXPECT_GT(r.recovery.resumed_from, 0);  // actually used the snapshot files
   bool any_snapshot = false;
   for (const auto& entry : fs::directory_iterator(dir))
     any_snapshot |= entry.path().filename().string().starts_with("ck_v");
@@ -160,17 +166,17 @@ npb::NpbFaultConfig npb_cfg() {
   npb::NpbFaultConfig nf;
   nf.base.ranks = 4;
   nf.base.cpu = &arch::tm5600_633();
-  nf.restart_penalty_seconds = 0.1;
+  nf.recovery.restart_penalty_seconds = 0.1;
   return nf;
 }
 
 TEST(NpbFt, EpRecoversToTheFaultFreeResult) {
   npb::NpbFaultConfig nf = npb_cfg();
   const npb::ParallelEpResult ref = npb::run_parallel_ep(nf.base, 14);
-  nf.schedule.crash(1, 0.4 * ref.elapsed_seconds);
+  nf.recovery.schedule.crash(1, 0.4 * ref.elapsed_seconds);
   const npb::ParallelEpFtResult r = npb::run_parallel_ep_ft(nf, 14, 4);
-  EXPECT_EQ(r.ft.restarts, 1);
-  EXPECT_GT(r.ft.checkpoints, 0);
+  EXPECT_EQ(r.recovery.restarts, 1);
+  EXPECT_GT(r.recovery.checkpoints, 0);
   // Counts are exact; the Gaussian sums are regrouped by the per-batch
   // accumulation, so they agree only to FP reassociation.
   EXPECT_EQ(r.ep.global.q, ref.global.q);
@@ -180,7 +186,7 @@ TEST(NpbFt, EpRecoversToTheFaultFreeResult) {
   EXPECT_NEAR(r.ep.global.sy, ref.global.sy, 1e-10 * std::abs(ref.global.sy));
   // The recovery (both attempts + penalty) costs strictly more than the
   // fault-free run even though the final attempt alone may be shorter.
-  EXPECT_GT(r.ft.total_virtual_seconds, ref.elapsed_seconds);
+  EXPECT_GT(r.recovery.total_virtual_seconds, ref.elapsed_seconds);
 }
 
 TEST(NpbFt, EpRecoveryIsBitIdenticalToTheUnfaultedFtRun) {
@@ -189,13 +195,13 @@ TEST(NpbFt, EpRecoveryIsBitIdenticalToTheUnfaultedFtRun) {
   // accumulate batch partials in the same order).
   const npb::ParallelEpFtResult clean =
       npb::run_parallel_ep_ft(npb_cfg(), 14, 4);
-  EXPECT_EQ(clean.ft.attempts, 1);
-  EXPECT_EQ(clean.ft.restarts, 0);
-  EXPECT_DOUBLE_EQ(clean.ft.lost_virtual_seconds, 0.0);
+  EXPECT_EQ(clean.recovery.attempts, 1);
+  EXPECT_EQ(clean.recovery.restarts, 0);
+  EXPECT_DOUBLE_EQ(clean.recovery.lost_virtual_seconds, 0.0);
   npb::NpbFaultConfig nf = npb_cfg();
-  nf.schedule.crash(1, 0.5 * clean.ep.elapsed_seconds);
+  nf.recovery.schedule.crash(1, 0.5 * clean.ep.elapsed_seconds);
   const npb::ParallelEpFtResult r = npb::run_parallel_ep_ft(nf, 14, 4);
-  EXPECT_EQ(r.ft.restarts, 1);
+  EXPECT_EQ(r.recovery.restarts, 1);
   EXPECT_DOUBLE_EQ(r.ep.global.sx, clean.ep.global.sx);
   EXPECT_DOUBLE_EQ(r.ep.global.sy, clean.ep.global.sy);
   EXPECT_EQ(r.ep.global.q, clean.ep.global.q);
@@ -206,14 +212,22 @@ TEST(NpbFt, IsStillVerifiesAfterRecovery) {
   const npb::ParallelIsResult ref =
       npb::run_parallel_is(nf.base, 12, 9, /*iterations=*/4);
   ASSERT_TRUE(ref.globally_sorted);
-  nf.schedule.crash(2, 0.5 * ref.elapsed_seconds);
+  nf.recovery.schedule.crash(2, 0.5 * ref.elapsed_seconds);
   const npb::ParallelIsFtResult r =
       npb::run_parallel_is_ft(nf, 12, 9, /*iterations=*/4);
-  EXPECT_EQ(r.ft.restarts, 1);
+  EXPECT_EQ(r.recovery.restarts, 1);
   EXPECT_TRUE(r.is.globally_sorted);
   EXPECT_TRUE(r.is.ranks_are_permutation);
   EXPECT_EQ(r.is.keys, ref.keys);
-  EXPECT_GT(r.ft.total_virtual_seconds, ref.elapsed_seconds);
+  EXPECT_GT(r.recovery.total_virtual_seconds, ref.elapsed_seconds);
+}
+
+TEST(NpbFt, ExhaustedRestartBudgetRethrows) {
+  npb::NpbFaultConfig nf = npb_cfg();
+  const npb::ParallelEpResult ref = npb::run_parallel_ep(nf.base, 14);
+  nf.recovery.schedule.crash(1, 0.4 * ref.elapsed_seconds);
+  nf.recovery.max_restarts = 0;
+  EXPECT_THROW((void)npb::run_parallel_ep_ft(nf, 14, 4), FaultError);
 }
 
 }  // namespace

@@ -54,9 +54,9 @@ bladed::treecode::FtResult run_once(const Options& o, double t_ref) {
   ft.base.seed = o.seed;
   ft.base.cpu = &arch::tm5600_633();
   ft.base.host_threads = o.host_threads;
-  ft.fault_seed = o.seed;
+  ft.recovery.fault_seed = o.seed;
   ft.checkpoint_every = 2;
-  ft.restart_penalty_seconds = 0.25;
+  ft.recovery.restart_penalty_seconds = 0.25;
   if (o.degrade) ft.on_node_loss = treecode::NodeLossPolicy::kDegrade;
 
   fault::ScheduleConfig sc;
@@ -71,18 +71,21 @@ bladed::treecode::FtResult run_once(const Options& o, double t_ref) {
           ? o.acceleration
           : 4.0 / (sc.reliability.failure_rate(sc.ambient) * o.ranks *
                    (t_ref / (kHoursPerYear.value() * 3600.0)));
-  ft.schedule = fault::FaultSchedule::generate(sc);
+  ft.recovery.schedule = fault::FaultSchedule::generate(sc);
   if (o.crash_at >= 0.0)
-    ft.schedule.crash(static_cast<int>(o.seed % o.ranks), o.crash_at * t_ref);
+    ft.recovery.schedule.crash(static_cast<int>(o.seed % o.ranks),
+                               o.crash_at * t_ref);
   return treecode::run_parallel_nbody_ft(ft);
 }
 
 void report(const bladed::treecode::FtResult& r) {
-  const auto& s = r.fault_stats;
+  const auto& s = r.recovery.fault_stats;
   std::printf("attempts %d  restarts %d  checkpoints %d  final ranks %d\n",
-              r.attempts, r.restarts, r.checkpoints, r.final_ranks);
+              r.recovery.attempts, r.recovery.restarts,
+              r.recovery.checkpoints, r.final_ranks);
   std::printf("virtual s: total %.6g  lost %.6g  (app %.6g)\n",
-              r.total_virtual_seconds, r.lost_virtual_seconds,
+              r.recovery.total_virtual_seconds,
+              r.recovery.lost_virtual_seconds,
               r.result.elapsed_seconds);
   std::printf(
       "executed faults: %llu drops  %llu corruptions (%llu caught)  "
@@ -100,8 +103,10 @@ bool same_state(const bladed::treecode::FtResult& a,
                 const bladed::treecode::FtResult& b) {
   const auto& p = a.result.particles_out;
   const auto& q = b.result.particles_out;
-  return a.fault_trace == b.fault_trace &&
-         a.total_virtual_seconds == b.total_virtual_seconds && p.x == q.x &&
+  return a.recovery.fault_trace == b.recovery.fault_trace &&
+         a.recovery.total_virtual_seconds ==
+             b.recovery.total_virtual_seconds &&
+         p.x == q.x &&
          p.y == q.y && p.z == q.z && p.vx == q.vx && p.vy == q.vy &&
          p.vz == q.vz;
 }
@@ -139,7 +144,7 @@ int main(int argc, char** argv) {
     const bladed::treecode::FtResult r = run_once(o, t_ref);
     report(r);
     if (o.trace) {
-      for (const auto& e : r.fault_trace)
+      for (const auto& e : r.recovery.fault_trace)
         std::printf("  t=%-12.6g %-10s node %d peer %d attempt %d\n", e.time,
                     bladed::fault::to_string(e.action), e.node, e.peer,
                     e.attempt);
@@ -149,7 +154,8 @@ int main(int argc, char** argv) {
       if (!same_state(r, again)) {
         std::fprintf(stderr,
                      "faultrun: replay DIVERGED (trace %zu vs %zu events)\n",
-                     r.fault_trace.size(), again.fault_trace.size());
+                     r.recovery.fault_trace.size(),
+                     again.recovery.fault_trace.size());
         return 1;
       }
       std::puts("faultrun: replay bit-identical (trace, timing, state)");
